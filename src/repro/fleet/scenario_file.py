@@ -7,18 +7,29 @@ The full schema — every key, type, default and unit — is documented in
 ``docs/scenario-files.md``, with worked examples under
 ``examples/scenarios/``.
 
+Every file section has one field table (:class:`Field` entries: key,
+kind, default, bounds, choices) that drives both directions:
+:func:`parse_table` validates a section against it and
+:func:`scenario_to_mapping` dumps from it. The study loader
+(:mod:`repro.fleet.study`) checks its ``[study]`` section against
+:data:`STUDY_FIELDS` the same way. Only rules spanning several keys
+(power-of-two sizes, divisibility, name shadowing, unreferenced
+organization tables) are written out as code.
+
 Validation is strict and errors are precise: every message carries the
 dotted path of the offending key (``populations[1].rate_multiplier``),
-unknown keys are rejected with a closest-match suggestion, and types are
-checked before values. :func:`scenario_to_mapping` is the exact inverse
-of :func:`scenario_from_mapping`, so ``load -> dump -> load`` round-trips
+unknown keys are rejected with a closest-match suggestion, types are
+checked before values, and numbers must be finite.
+:func:`scenario_to_mapping` is the exact inverse of
+:func:`scenario_from_mapping`, so ``load -> dump -> load`` round-trips
 (the round-trip test in ``tests/test_scenario_file.py`` pins this).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+import math
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -28,6 +39,7 @@ from repro.config import (
     MemoryConfig,
 )
 from repro.faults.types import DEFAULT_FIT_RATES, FaultRates
+from repro.fleet.policies import POLICY_KEYS
 from repro.fleet.scenarios import (
     SPATIAL_KINDS,
     FleetScenario,
@@ -35,8 +47,10 @@ from repro.fleet.scenarios import (
     SpatialFaultModel,
     SubPopulation,
 )
+from repro.perf.engine import ENGINE_TIERS
 from repro.util.bitops import is_power_of_two
-from repro.util.suggest import did_you_mean
+from repro.util.suggest import did_you_mean, unknown_key_message
+from repro.workloads.spec import ALL_MIXES
 
 #: Named memory organizations a scenario file may reference.
 CONFIG_NAMES: Dict[str, MemoryConfig] = {
@@ -44,57 +58,8 @@ CONFIG_NAMES: Dict[str, MemoryConfig] = {
     "baseline": BASELINE_MEMORY_CONFIG,
 }
 
-_RATE_FIELDS = tuple(f.name for f in fields(FaultRates))
-
-_TOP_LEVEL_KEYS = (
-    "name",
-    "description",
-    "seed",
-    "channels",
-    "policies",
-    "organizations",
-    "populations",
-)
-_ORGANIZATION_KEYS = (
-    "technology",
-    "io_width",
-    "channels",
-    "ranks_per_channel",
-    "devices_per_rank",
-    "data_devices_per_rank",
-    "cacheline_bytes",
-    "page_bytes",
-    "capacity_per_channel_bytes",
-    "banks_per_device",
-    "pages_per_row",
-    "rows_per_bank",
-    "columns_per_row",
-)
-_ORGANIZATION_REQUIRED = (
-    "io_width",
-    "channels",
-    "ranks_per_channel",
-    "devices_per_rank",
-    "data_devices_per_rank",
-)
-#: Organization fields that must be powers of two: line and page sizes
-#: feed power-of-two address arithmetic (set indexing, page striping);
-#: the I/O width additionally needs a datasheet row (x4 or x8).
-_ORGANIZATION_POW2 = ("cacheline_bytes", "page_bytes")
+#: Organization I/O widths with datasheet parameters (x4 or x8).
 _SUPPORTED_IO_WIDTHS = (4, 8)
-_POPULATION_KEYS = (
-    "name",
-    "channels",
-    "config",
-    "rates",
-    "rate_multiplier",
-    "lifespan_years",
-    "schedule",
-    "spatial",
-)
-_PHASE_KEYS = ("duration_years", "multiplier")
-_SPATIAL_KEYS = ("kind", "fraction", "banks", "rows", "columns")
-
 
 #: Section names that mark a file as a *study* (a campaign over a grid
 #: of scenario variants) rather than a plain scenario. Parsed by
@@ -111,6 +76,96 @@ class ScenarioFileError(ValueError):
     one-glance fix.
     """
 
+    @classmethod
+    def at(cls, path: str, message: str) -> "ScenarioFileError":
+        """The error for the key at dotted ``path`` (``""``: top level)."""
+        return cls(f"{path}: {message}" if path else message)
+
+
+#: The default of a key every section must spell out.
+REQUIRED: Any = object()
+
+
+@dataclass(frozen=True)
+class Field:
+    """One key of a file section and the rules its value must meet.
+
+    ``kind`` is ``str`` (non-empty), ``text`` (may be empty), ``int``,
+    ``float`` (finite; ints are accepted), ``bool``, ``table``, ``any``,
+    or ``[kind]`` for a non-empty array of that kind, whose scalar items
+    must be distinct. ``low``/``high`` bound numbers (``low`` is
+    exclusive when ``open_low``); ``choices`` restricts strings. ``what``
+    names an item in choice, duplicate and empty-array messages.
+    """
+
+    key: str
+    kind: str
+    default: Any = REQUIRED
+    low: Optional[float] = None
+    open_low: bool = False
+    high: Optional[float] = None
+    choices: Tuple[str, ...] = ()
+    what: str = ""
+
+
+#: The top-level ``policies`` list, shared by the study's policy sets.
+POLICY_FIELD = Field("policies", "[str]", None, choices=POLICY_KEYS, what="policy")
+
+SCENARIO_FIELDS = (
+    Field("name", "str"),
+    Field("description", "text", ""),
+    Field("seed", "int", None, low=0),
+    Field("channels", "int", None, low=1),
+    POLICY_FIELD,
+    Field("organizations", "table", {}),
+    Field("populations", "[table]", what="sub-population"),
+)
+POPULATION_FIELDS = (
+    Field("name", "str"),
+    Field("channels", "int", low=1),
+    Field("config", "str", "arcc"),
+    Field("rates", "table", {}),
+    Field("rate_multiplier", "float", 1.0, low=0.0, open_low=True),
+    Field("lifespan_years", "float", 7.0, low=0.0, open_low=True),
+    Field("schedule", "[table]", ()),
+    Field("spatial", "table", None),
+)
+RATE_FIELDS = tuple(
+    Field(f.name, "float", getattr(DEFAULT_FIT_RATES, f.name), low=0.0)
+    for f in fields(FaultRates)
+)
+PHASE_FIELDS = (
+    Field("duration_years", "float", low=0.0, open_low=True),
+    Field("multiplier", "float", low=0.0),
+)
+SPATIAL_FIELDS = (
+    Field("kind", "str", choices=SPATIAL_KINDS, what="spatial kind"),
+    Field("fraction", "float", 0.5, low=0.0, open_low=True, high=1.0),
+    Field("banks", "int", 1, low=1),
+    Field("rows", "int", 64, low=1),
+    Field("columns", "int", 64, low=1),
+)
+#: ``[organizations.<name>]``: every :class:`MemoryConfig` field but the
+#: name (the table key), with the dataclass defaults.
+ORGANIZATION_FIELDS = tuple(
+    Field(f.name, "str", "DDR2-667")
+    if f.name == "technology"
+    else Field(f.name, "int", REQUIRED if f.default is MISSING else f.default, low=1)
+    for f in fields(MemoryConfig)
+    if f.name != "name"
+)
+STUDY_FIELDS = (
+    Field("description", "text", None),
+    Field("measured", "bool", False),
+    Field("engine", "str", "auto", choices=ENGINE_TIERS, what="engine tier"),
+    Field("mixes", "int", None, low=1, high=len(ALL_MIXES)),
+    Field("instruction_scales", "[int]", (), low=1),
+    Field("rate_multipliers", "[float]", (1.0,), low=0.0, open_low=True),
+    Field("organizations", "[str]", ()),
+    Field("policies", "[any]", None),
+    Field("upgraded_fractions", "[float]", (), low=0.0, high=1.0),
+)
+
 
 @dataclass(frozen=True)
 class ScenarioFile:
@@ -122,8 +177,9 @@ class ScenarioFile:
     file's scenario (built-in scenarios named alongside it keep their
     own defaults); ``policies`` selects the run's mode, so it applies
     to the whole invocation. ``organizations`` holds the file's custom
-    ``[organizations.<name>]`` tables (the populations embed the same
-    configs, so this is introspection, not extra state).
+    ``[organizations.<name>]`` tables (the populations, or a study's
+    organizations axis, embed the same configs, so this is
+    introspection, not extra state).
     """
 
     scenario: FleetScenario
@@ -133,161 +189,112 @@ class ScenarioFile:
     organizations: Tuple[MemoryConfig, ...] = ()
 
 
-def _fail(path: str, message: str) -> "ScenarioFileError":
-    prefix = f"{path}: " if path else ""
-    return ScenarioFileError(f"{prefix}{message}")
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
 
 
-def _check_keys(
-    mapping: Mapping[str, Any], allowed: Sequence[str], path: str
-) -> None:
-    if not isinstance(mapping, Mapping):
-        raise _fail(path, f"expected a table/object, got {_type_name(mapping)}")
-    for key in mapping:
-        if key not in allowed:
-            raise _fail(
-                f"{path}.{key}" if path else str(key),
-                f"unknown key{did_you_mean(str(key), allowed)}; "
-                f"allowed: {', '.join(allowed)}",
-            )
-
-
-def _type_name(value: Any) -> str:
-    return type(value).__name__
-
-
-def _get_str(mapping: Mapping[str, Any], key: str, path: str) -> str:
-    if key not in mapping:
-        raise _fail(path, f"missing required key {key!r}")
-    value = mapping[key]
-    if not isinstance(value, str):
-        raise _fail(f"{path}.{key}", f"expected str, got {_type_name(value)}")
-    if not value:
-        raise _fail(f"{path}.{key}", "must not be empty")
+def check_value(value: Any, field: Field, path: str) -> Any:
+    """Check one value against ``field``; arrays come back as tuples."""
+    kind = field.kind
+    fail = ScenarioFileError.at
+    if kind.startswith("["):
+        if not isinstance(value, Sequence) or isinstance(value, (str, bytes)):
+            raise fail(path, f"expected an array, got {type(value).__name__}")
+        if not value:
+            what = field.what
+            raise fail(path, f"needs at least one {what}" if what else "must not be empty")
+        item = replace(field, kind=kind[1:-1])
+        items = tuple(check_value(v, item, f"{path}[{i}]") for i, v in enumerate(value))
+        if item.kind not in ("table", "any"):
+            for i, v in enumerate(items):
+                if v in items[:i]:
+                    raise fail(f"{path}[{i}]", f"duplicate {field.what or 'axis value'} {v!r}")
+        return items
+    if kind == "table" and not isinstance(value, Mapping):
+        raise fail(path, f"expected a table/object, got {type(value).__name__}")
+    if kind in ("str", "text") and not isinstance(value, str):
+        raise fail(path, f"expected str, got {type(value).__name__}")
+    if kind == "bool" and not isinstance(value, bool):
+        raise fail(path, f"expected bool, got {type(value).__name__}")
+    if kind == "str" and not value:
+        raise fail(path, "must not be empty")
+    if field.choices and value not in field.choices:
+        raise fail(path, unknown_key_message(field.what, value, field.choices))
+    if kind in ("int", "float"):
+        # bool is an int subclass; a scenario never wants `channels = true`.
+        numeric = (int, float) if kind == "float" else int
+        if isinstance(value, bool) or not isinstance(value, numeric):
+            label = "number" if kind == "float" else "int"
+            raise fail(path, f"expected {label}, got {type(value).__name__}")
+        if kind == "float":
+            value = float(value)
+            if not math.isfinite(value):
+                raise fail(path, f"must be finite, got {value}")
+        shown = f"{value:g}" if kind == "float" else value
+        low = field.low
+        if low is not None and (value <= low if field.open_low else value < low):
+            raise fail(path, f"must be {'>' if field.open_low else '>='} {low:g}, got {shown}")
+        if field.high is not None and value > field.high:
+            raise fail(path, f"must be <= {field.high:g}, got {shown}")
     return value
 
 
-def _get_int(
-    mapping: Mapping[str, Any],
-    key: str,
-    path: str,
-    minimum: Optional[int] = None,
-) -> int:
-    value = mapping[key]
-    # bool is an int subclass; a scenario never wants `channels = true`.
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise _fail(f"{path}.{key}", f"expected int, got {_type_name(value)}")
-    if minimum is not None and value < minimum:
-        raise _fail(f"{path}.{key}", f"must be >= {minimum}, got {value}")
-    return value
+def parse_table(
+    raw: Any, table: Sequence[Field], path: str
+) -> Dict[str, Any]:
+    """Validate one file section against its field table.
 
+    Checks that ``raw`` is a table, that every key is known (with a
+    did-you-mean suggestion), that required keys are present, and each
+    present value with :func:`check_value`. Returns every field's value,
+    defaults filled in, keyed in table order.
 
-def _get_float(
-    mapping: Mapping[str, Any],
-    key: str,
-    path: str,
-    minimum: Optional[float] = None,
-    exclusive: bool = False,
-) -> float:
-    value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _fail(
-            f"{path}.{key}", f"expected number, got {_type_name(value)}"
-        )
-    value = float(value)
-    if minimum is not None:
-        if exclusive and value <= minimum:
-            raise _fail(f"{path}.{key}", f"must be > {minimum:g}, got {value:g}")
-        if not exclusive and value < minimum:
-            raise _fail(
-                f"{path}.{key}", f"must be >= {minimum:g}, got {value:g}"
-            )
-    return value
-
-
-def _parse_rates(raw: Any, path: str) -> FaultRates:
-    _check_keys(raw, _RATE_FIELDS, path)
-    values = {}
-    for name in _RATE_FIELDS:
-        if name in raw:
-            values[name] = _get_float(raw, name, path, minimum=0.0)
-        else:
-            values[name] = getattr(DEFAULT_FIT_RATES, name)
-    return FaultRates(**values)
-
-
-def _parse_organization(name: str, raw: Any, path: str) -> MemoryConfig:
-    """One ``[organizations.<name>]`` table -> :class:`MemoryConfig`.
-
-    The table key is the organization's name (what populations reference
-    via ``config`` and what reports print); it must not shadow a
-    built-in name.
+    Examples
+    --------
+    >>> parse_table({"duration_years": 0.5, "multiplier": 2}, PHASE_FIELDS, "p")
+    {'duration_years': 0.5, 'multiplier': 2.0}
+    >>> parse_table({"multiplier": -1.0}, PHASE_FIELDS, "schedule[0]")
+    Traceback (most recent call last):
+    ...
+    repro.fleet.scenario_file.ScenarioFileError: schedule[0]: missing required key 'duration_years'
     """
-    if not name:
-        raise _fail("organizations", "organization names must not be empty")
-    if name in CONFIG_NAMES:
-        raise _fail(
-            path,
-            f"organization name {name!r} shadows a built-in config; "
-            f"built-ins: {', '.join(CONFIG_NAMES)}",
+    if not isinstance(raw, Mapping):
+        raise ScenarioFileError.at(
+            path, f"expected a table/object, got {type(raw).__name__}"
         )
-    _check_keys(raw, _ORGANIZATION_KEYS, path)
-    for key in _ORGANIZATION_REQUIRED:
-        if key not in raw:
-            raise _fail(path, f"missing required key {key!r}")
-
-    technology = "DDR2-667"
-    if "technology" in raw:
-        technology = _get_str(raw, "technology", path)
-    values: Dict[str, int] = {}
-    for key in _ORGANIZATION_KEYS:
-        if key == "technology" or key not in raw:
-            continue
-        values[key] = _get_int(raw, key, path, minimum=1)
-    for key in _ORGANIZATION_POW2:
-        if key in values and not is_power_of_two(values[key]):
-            raise _fail(
-                f"{path}.{key}",
-                f"must be a power of two, got {values[key]}",
+    keys = [field.key for field in table]
+    for key in raw:
+        if key not in keys:
+            raise ScenarioFileError.at(
+                _join(path, str(key)),
+                f"unknown key{did_you_mean(str(key), keys)}; "
+                f"allowed: {', '.join(keys)}",
             )
-    io_width = values["io_width"]
-    if io_width not in _SUPPORTED_IO_WIDTHS:
-        raise _fail(
-            f"{path}.io_width",
-            f"no datasheet parameters for x{io_width} devices; "
-            f"supported: {', '.join(str(w) for w in _SUPPORTED_IO_WIDTHS)}",
-        )
-    page_bytes = values.get("page_bytes", 4096)
-    cacheline_bytes = values.get("cacheline_bytes", 64)
-    if page_bytes % cacheline_bytes:
-        raise _fail(
-            f"{path}.page_bytes",
-            f"must be a multiple of cacheline_bytes ({cacheline_bytes}), "
-            f"got {page_bytes}",
-        )
-    capacity = values.get("capacity_per_channel_bytes")
-    if capacity is not None and capacity % page_bytes:
-        raise _fail(
-            f"{path}.capacity_per_channel_bytes",
-            f"must be a multiple of page_bytes ({page_bytes}), "
-            f"got {capacity}",
-        )
-    try:
-        return MemoryConfig(name=name, technology=technology, **values)
-    except ValueError as exc:
-        raise _fail(path, str(exc)) from exc
+    for field in table:
+        if field.default is REQUIRED and field.key not in raw:
+            raise ScenarioFileError.at(
+                path, f"missing required key {field.key!r}"
+            )
+    return {
+        field.key: check_value(raw[field.key], field, _join(path, field.key))
+        if field.key in raw
+        else field.default
+        for field in table
+    }
 
 
 def organization_from_mapping(
     name: str, table: Mapping[str, Any], path: str = "organizations"
 ) -> MemoryConfig:
-    """One organization table -> :class:`MemoryConfig` (public hook).
+    """One ``[organizations.<name>]`` table -> :class:`MemoryConfig`.
 
-    The same validation the scenario-file loader applies to an
-    ``[organizations.<name>]`` table — required keys, supported I/O
-    widths, power-of-two line/page sizes, divisibility. The fuzz
-    sampler (:mod:`repro.fuzz.sampler`) builds its random organizations
-    through this function so a sampled case can never be schema-invalid.
+    The table key is the organization's name (what populations reference
+    via ``config`` and what reports print); it must not shadow a
+    built-in name. Beyond :data:`ORGANIZATION_FIELDS`, checks the rules
+    that span keys: supported I/O widths, power-of-two line/page sizes
+    and divisibility. The fuzz sampler (:mod:`repro.fuzz.sampler`)
+    builds its random organizations through this function so a sampled
+    case can never be schema-invalid.
 
     Examples
     --------
@@ -298,237 +305,133 @@ def organization_from_mapping(
     >>> (config.channels, config.check_devices_per_rank)
     (3, 1)
     """
-    return _parse_organization(name, table, f"{path}.{name}")
-
-
-def _parse_organizations(raw: Any, path: str) -> Dict[str, MemoryConfig]:
-    if not isinstance(raw, Mapping):
-        raise _fail(
+    if not name:
+        raise ScenarioFileError.at(path, "organization names must not be empty")
+    path = f"{path}.{name}"
+    if name in CONFIG_NAMES:
+        raise ScenarioFileError.at(
             path,
-            f"expected a table of organization tables, got {_type_name(raw)}",
+            f"organization name {name!r} shadows a built-in config; "
+            f"built-ins: {', '.join(CONFIG_NAMES)}",
         )
-    return {
-        str(name): _parse_organization(
-            str(name), table, f"{path}.{name}" if name else path
+    values = parse_table(table, ORGANIZATION_FIELDS, path)
+    for key in ("cacheline_bytes", "page_bytes"):
+        if not is_power_of_two(values[key]):
+            raise ScenarioFileError.at(
+                f"{path}.{key}", f"must be a power of two, got {values[key]}"
+            )
+    io_width = values["io_width"]
+    if io_width not in _SUPPORTED_IO_WIDTHS:
+        raise ScenarioFileError.at(
+            f"{path}.io_width",
+            f"no datasheet parameters for x{io_width} devices; "
+            f"supported: {', '.join(str(w) for w in _SUPPORTED_IO_WIDTHS)}",
         )
-        for name, table in raw.items()
-    }
-
-
-def _parse_phase(raw: Any, path: str) -> RatePhase:
-    _check_keys(raw, _PHASE_KEYS, path)
-    for key in _PHASE_KEYS:
-        if key not in raw:
-            raise _fail(path, f"missing required key {key!r}")
-    return RatePhase(
-        duration_years=_get_float(
-            raw, "duration_years", path, minimum=0.0, exclusive=True
-        ),
-        multiplier=_get_float(raw, "multiplier", path, minimum=0.0),
-    )
-
-
-def _parse_spatial(raw: Any, path: str) -> SpatialFaultModel:
-    """One ``[populations.spatial]`` table -> :class:`SpatialFaultModel`."""
-    _check_keys(raw, _SPATIAL_KEYS, path)
-    kind = _get_str(raw, "kind", path)
-    if kind not in SPATIAL_KINDS:
-        raise _fail(
-            f"{path}.kind",
-            f"unknown spatial kind {kind!r}"
-            f"{did_you_mean(kind, SPATIAL_KINDS)}; "
-            f"known: {', '.join(SPATIAL_KINDS)}",
-        )
-    fraction = 0.5
-    if "fraction" in raw:
-        fraction = _get_float(raw, "fraction", path, minimum=0.0, exclusive=True)
-        if fraction > 1.0:
-            raise _fail(f"{path}.fraction", f"must be <= 1, got {fraction:g}")
-    extents = {}
-    for key in ("banks", "rows", "columns"):
-        if key in raw:
-            extents[key] = _get_int(raw, key, path, minimum=1)
+    for key, unit in (
+        ("page_bytes", "cacheline_bytes"),
+        ("capacity_per_channel_bytes", "page_bytes"),
+    ):
+        if values[key] % values[unit]:
+            raise ScenarioFileError.at(
+                f"{path}.{key}",
+                f"must be a multiple of {unit} ({values[unit]}), "
+                f"got {values[key]}",
+            )
     try:
-        return SpatialFaultModel(kind=kind, fraction=fraction, **extents)
+        return MemoryConfig(name=name, **values)
     except ValueError as exc:
-        raise _fail(path, str(exc)) from exc
+        raise ScenarioFileError.at(path, str(exc)) from exc
 
 
 def _parse_population(
-    raw: Any,
-    path: str,
-    organizations: Optional[Mapping[str, MemoryConfig]] = None,
+    raw: Any, path: str, configs: Mapping[str, MemoryConfig]
 ) -> SubPopulation:
-    _check_keys(raw, _POPULATION_KEYS, path)
-    name = _get_str(raw, "name", path)
-    if "channels" not in raw:
-        raise _fail(path, "missing required key 'channels'")
-    channels = _get_int(raw, "channels", path, minimum=1)
-
-    known_configs: Dict[str, MemoryConfig] = dict(CONFIG_NAMES)
-    known_configs.update(organizations or {})
-    config = ARCC_MEMORY_CONFIG
-    if "config" in raw:
-        config_name = _get_str(raw, "config", path)
-        if config_name not in known_configs:
-            raise _fail(
-                f"{path}.config",
-                f"unknown memory config {config_name!r}"
-                f"{did_you_mean(config_name, known_configs)}; "
-                f"known: {', '.join(known_configs)}",
-            )
-        config = known_configs[config_name]
-
-    rates = DEFAULT_FIT_RATES
-    if "rates" in raw:
-        rates = _parse_rates(raw["rates"], f"{path}.rates")
-
-    rate_multiplier = 1.0
-    if "rate_multiplier" in raw:
-        rate_multiplier = _get_float(
-            raw, "rate_multiplier", path, minimum=0.0, exclusive=True
+    values = parse_table(raw, POPULATION_FIELDS, path)
+    if values["config"] not in configs:
+        raise ScenarioFileError.at(
+            f"{path}.config",
+            unknown_key_message("memory config", values["config"], configs),
         )
-    lifespan_years = 7.0
-    if "lifespan_years" in raw:
-        lifespan_years = _get_float(
-            raw, "lifespan_years", path, minimum=0.0, exclusive=True
-        )
-
-    schedule: Tuple[RatePhase, ...] = ()
-    if "schedule" in raw:
-        phases = raw["schedule"]
-        if not isinstance(phases, Sequence) or isinstance(phases, (str, bytes)):
-            raise _fail(
-                f"{path}.schedule",
-                f"expected an array of tables, got {_type_name(phases)}",
-            )
-        schedule = tuple(
-            _parse_phase(phase, f"{path}.schedule[{i}]")
-            for i, phase in enumerate(phases)
-        )
-
-    spatial: Optional[SpatialFaultModel] = None
-    if "spatial" in raw:
-        spatial = _parse_spatial(raw["spatial"], f"{path}.spatial")
-
-    return SubPopulation(
-        name=name,
-        channels=channels,
-        config=config,
-        rates=rates,
-        rate_multiplier=rate_multiplier,
-        lifespan_years=lifespan_years,
-        schedule=schedule,
-        spatial=spatial,
+    values["config"] = configs[values["config"]]
+    values["rates"] = FaultRates(
+        **parse_table(values["rates"], RATE_FIELDS, f"{path}.rates")
     )
+    values["schedule"] = tuple(
+        RatePhase(**parse_table(phase, PHASE_FIELDS, f"{path}.schedule[{i}]"))
+        for i, phase in enumerate(values["schedule"])
+    )
+    if values["spatial"] is not None:
+        values["spatial"] = SpatialFaultModel(
+            **parse_table(values["spatial"], SPATIAL_FIELDS, f"{path}.spatial")
+        )
+    return SubPopulation(**values)
 
 
 def scenario_from_mapping(
-    raw: Mapping[str, Any], source: str = ""
+    raw: Mapping[str, Any],
+    source: str = "",
+    *,
+    axis_organizations: Sequence[str] = (),
 ) -> ScenarioFile:
     """Validate a parsed TOML/JSON mapping into a :class:`ScenarioFile`.
 
     ``source`` (usually the file path) prefixes every error message.
     Raises :class:`ScenarioFileError` with the dotted path of the first
-    offending key.
+    offending key. ``axis_organizations`` names the organizations a
+    study's ``organizations`` axis deploys: their tables are legal
+    without a referencing population (the study loader passes them).
     """
     try:
-        if isinstance(raw, Mapping):
-            for key in STUDY_SECTION_KEYS:
-                if key in raw:
-                    raise _fail(
-                        key,
-                        "this file declares a study campaign; run it with "
-                        "`repro study` (repro.fleet.study.load_study_file), "
-                        "not as a plain scenario",
-                    )
-        _check_keys(raw, _TOP_LEVEL_KEYS, "")
-        name = _get_str(raw, "name", "")
-        description = ""
-        if "description" in raw:
-            value = raw["description"]
-            if not isinstance(value, str):
-                raise _fail(
-                    "description", f"expected str, got {_type_name(value)}"
+        for key in STUDY_SECTION_KEYS:
+            if isinstance(raw, Mapping) and key in raw:
+                raise ScenarioFileError.at(
+                    key,
+                    "this file declares a study campaign; run it with "
+                    "`repro study` (repro.fleet.study.load_study_file), "
+                    "not as a plain scenario",
                 )
-            description = value
-
-        seed = None
-        if "seed" in raw:
-            seed = _get_int(raw, "seed", "", minimum=0)
-        channels = None
-        if "channels" in raw:
-            channels = _get_int(raw, "channels", "", minimum=1)
-
-        policies: Optional[Tuple[str, ...]] = None
-        if "policies" in raw:
-            value = raw["policies"]
-            if not isinstance(value, Sequence) or isinstance(
-                value, (str, bytes)
-            ):
-                raise _fail(
-                    "policies",
-                    f"expected an array of strings, got {_type_name(value)}",
-                )
-            for i, item in enumerate(value):
-                if not isinstance(item, str):
-                    raise _fail(
-                        f"policies[{i}]",
-                        f"expected str, got {_type_name(item)}",
-                    )
-            policies = tuple(value)
-
-        organizations: Dict[str, MemoryConfig] = {}
-        if "organizations" in raw:
-            organizations = _parse_organizations(
-                raw["organizations"], "organizations"
-            )
-
-        if "populations" not in raw:
-            raise _fail("", "missing required key 'populations'")
-        raw_pops = raw["populations"]
-        if not isinstance(raw_pops, Sequence) or isinstance(
-            raw_pops, (str, bytes)
-        ):
-            raise _fail(
-                "populations",
-                f"expected an array of tables, got {_type_name(raw_pops)}",
-            )
-        if not raw_pops:
-            raise _fail("populations", "needs at least one sub-population")
+        values = parse_table(raw, SCENARIO_FIELDS, "")
+        organizations = {
+            name: organization_from_mapping(name, table)
+            for name, table in values["organizations"].items()
+        }
+        configs = {**CONFIG_NAMES, **organizations}
         populations = tuple(
-            _parse_population(pop, f"populations[{i}]", organizations)
-            for i, pop in enumerate(raw_pops)
+            _parse_population(pop, f"populations[{i}]", configs)
+            for i, pop in enumerate(values["populations"])
         )
         # Strict like everything else — and what keeps load -> dump ->
         # load exact: a dump can only emit organizations its populations
         # reference, so an unreferenced table (usually a typo in some
         # population's `config`) is rejected rather than silently lost.
         referenced = {pop.config.name for pop in populations}
+        referenced.update(axis_organizations)
         unused = [name for name in organizations if name not in referenced]
         if unused:
-            raise _fail(
+            raise ScenarioFileError.at(
                 f"organizations.{unused[0]}",
                 "organization is not referenced by any population "
-                "(reference it via `config = " + repr(unused[0]) + "` "
+                + ("or the study's organizations axis " if axis_organizations else "")
+                + "(reference it via `config = " + repr(unused[0]) + "` "
                 "or remove the table)",
             )
-
         try:
             scenario = FleetScenario(
-                name=name, description=description, populations=populations
+                name=values["name"],
+                description=values["description"],
+                populations=populations,
             )
         except ValueError as exc:
-            raise _fail("populations", str(exc)) from exc
+            raise ScenarioFileError.at("populations", str(exc)) from exc
     except ScenarioFileError as exc:
         if source:
             raise ScenarioFileError(f"{source}: {exc}") from None
         raise
     return ScenarioFile(
         scenario=scenario,
-        seed=seed,
-        channels=channels,
-        policies=policies,
+        seed=values["seed"],
+        channels=values["channels"],
+        policies=values["policies"],
         organizations=tuple(organizations.values()),
     )
 
@@ -564,7 +467,7 @@ def load_raw_mapping(path: "str | Path") -> Mapping[str, Any]:
     if not isinstance(raw, Mapping):
         raise ScenarioFileError(
             f"{path}: top level must be a table/object, "
-            f"got {_type_name(raw)}"
+            f"got {type(raw).__name__}"
         )
     return raw
 
@@ -594,23 +497,9 @@ def _config_name(config: MemoryConfig) -> str:
     return config.name
 
 
-def _organization_table(config: MemoryConfig) -> Dict[str, Any]:
-    """Full ``[organizations.<name>]`` table of one custom config."""
-    return {
-        "technology": config.technology,
-        "io_width": config.io_width,
-        "channels": config.channels,
-        "ranks_per_channel": config.ranks_per_channel,
-        "devices_per_rank": config.devices_per_rank,
-        "data_devices_per_rank": config.data_devices_per_rank,
-        "cacheline_bytes": config.cacheline_bytes,
-        "page_bytes": config.page_bytes,
-        "capacity_per_channel_bytes": config.capacity_per_channel_bytes,
-        "banks_per_device": config.banks_per_device,
-        "pages_per_row": config.pages_per_row,
-        "rows_per_bank": config.rows_per_bank,
-        "columns_per_row": config.columns_per_row,
-    }
+def _dump(value: Any, table: Sequence[Field]) -> Dict[str, Any]:
+    """The section of one dataclass value, keyed by its field table."""
+    return {field.key: getattr(value, field.key) for field in table}
 
 
 def scenario_to_mapping(
@@ -627,48 +516,34 @@ def scenario_to_mapping(
     keyed by its name, so a dump is self-documenting and round-trips
     exactly.
     """
-    organizations: Dict[str, Dict[str, Any]] = {}
-    for config in scenario.organizations():
-        if any(config == known for known in CONFIG_NAMES.values()):
-            continue
-        organizations[_config_name(config)] = _organization_table(config)
+    organizations = {
+        _config_name(config): _dump(config, ORGANIZATION_FIELDS)
+        for config in scenario.organizations()
+        if config not in CONFIG_NAMES.values()
+    }
     populations: List[Dict[str, Any]] = []
     for pop in scenario.populations:
-        entry: Dict[str, Any] = {
-            "name": pop.name,
-            "channels": pop.channels,
-            "config": _config_name(pop.config),
-            "rates": {
-                name: getattr(pop.rates, name) for name in _RATE_FIELDS
-            },
-            "rate_multiplier": pop.rate_multiplier,
-            "lifespan_years": pop.lifespan_years,
-        }
-        if pop.schedule:
-            entry["schedule"] = [
-                {
-                    "duration_years": phase.duration_years,
-                    "multiplier": phase.multiplier,
-                }
-                for phase in pop.schedule
-            ]
-        if pop.spatial:
-            entry["spatial"] = pop.spatial.to_config()
-        populations.append(entry)
-    out: Dict[str, Any] = {
+        entry = _dump(pop, POPULATION_FIELDS)
+        entry.update(
+            config=_config_name(pop.config),
+            rates=_dump(pop.rates, RATE_FIELDS),
+            schedule=[_dump(phase, PHASE_FIELDS) for phase in pop.schedule],
+            spatial=pop.spatial and _dump(pop.spatial, SPATIAL_FIELDS),
+        )
+        # No schedule and no spatial model are written as absent keys.
+        populations.append(
+            {key: value for key, value in entry.items() if value not in (None, [])}
+        )
+    out = {
         "name": scenario.name,
         "description": scenario.description,
+        "seed": seed,
+        "channels": channels,
+        "policies": None if policies is None else list(policies),
+        "organizations": organizations or None,
         "populations": populations,
     }
-    if organizations:
-        out["organizations"] = organizations
-    if seed is not None:
-        out["seed"] = seed
-    if channels is not None:
-        out["channels"] = channels
-    if policies is not None:
-        out["policies"] = list(policies)
-    return out
+    return {key: value for key, value in out.items() if value is not None}
 
 
 def dump_scenario_json(

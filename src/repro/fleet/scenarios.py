@@ -12,7 +12,7 @@ and the report layer aggregates them with confidence intervals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import ARCC_MEMORY_CONFIG, BASELINE_MEMORY_CONFIG, MemoryConfig
@@ -83,13 +83,7 @@ class SpatialFaultModel:
 
     def to_config(self) -> Dict[str, object]:
         """Plain JSON-able mapping for job configs and scenario files."""
-        return {
-            "kind": self.kind,
-            "fraction": self.fraction,
-            "banks": self.banks,
-            "rows": self.rows,
-            "columns": self.columns,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -60,14 +60,13 @@ from repro.fleet.policies import (
 from repro.fleet.report import DEFAULT_FLEET_SEED
 from repro.fleet.scenario_file import (
     CONFIG_NAMES,
+    POLICY_FIELD,
+    STUDY_FIELDS,
     STUDY_SECTION_KEYS,
     ScenarioFileError,
-    _check_keys,
-    _fail,
-    _get_int,
-    _type_name,
+    check_value,
     load_raw_mapping,
-    organization_from_mapping,
+    parse_table,
     scenario_from_mapping,
 )
 from repro.fleet.scenarios import FleetScenario
@@ -86,22 +85,9 @@ from repro.runner import (
     job_identity,
     run_jobs,
 )
-from repro.util.suggest import did_you_mean
+from repro.util.suggest import unknown_key_message
 from repro.util.tables import format_table
 from repro.workloads.spec import ALL_MIXES
-
-#: Keys a ``[study]``/``[sweep]`` section accepts.
-_STUDY_KEYS = (
-    "description",
-    "measured",
-    "engine",
-    "mixes",
-    "instruction_scales",
-    "rate_multipliers",
-    "organizations",
-    "policies",
-    "upgraded_fractions",
-)
 
 #: Default manifest filename (written next to the working directory's
 #: other campaign artifacts, e.g. ``benchmarks/BENCH_history.json``).
@@ -670,160 +656,22 @@ def run_study(
 # -- the file loader -----------------------------------------------------------
 
 
-def _get_bool(mapping: Mapping[str, Any], key: str, path: str) -> bool:
-    value = mapping[key]
-    if not isinstance(value, bool):
-        raise _fail(f"{path}.{key}", f"expected bool, got {_type_name(value)}")
-    return value
-
-
-def _get_array(mapping: Mapping[str, Any], key: str, path: str) -> List[Any]:
-    value = mapping[key]
-    if not isinstance(value, Sequence) or isinstance(value, (str, bytes)):
-        raise _fail(
-            f"{path}.{key}", f"expected an array, got {_type_name(value)}"
-        )
-    if not value:
-        raise _fail(f"{path}.{key}", "must not be empty")
-    return list(value)
-
-
-def _no_duplicates(values: Sequence[Any], path: str) -> None:
-    seen = set()
-    for i, value in enumerate(values):
-        key = tuple(value) if isinstance(value, list) else value
-        if key in seen:
-            raise _fail(f"{path}[{i}]", f"duplicate axis value {value!r}")
-        seen.add(key)
-
-
-def _int_axis(
-    section: Mapping[str, Any], key: str, path: str, minimum: int
-) -> Tuple[int, ...]:
-    values = []
-    for i, value in enumerate(_get_array(section, key, path)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise _fail(
-                f"{path}.{key}[{i}]",
-                f"expected int, got {_type_name(value)}",
-            )
-        if value < minimum:
-            raise _fail(
-                f"{path}.{key}[{i}]", f"must be >= {minimum}, got {value}"
-            )
-        values.append(value)
-    _no_duplicates(values, f"{path}.{key}")
-    return tuple(values)
-
-
-def _float_axis(
-    section: Mapping[str, Any],
-    key: str,
-    path: str,
-    minimum: float,
-    exclusive: bool,
-    maximum: Optional[float] = None,
-) -> Tuple[float, ...]:
-    values = []
-    for i, value in enumerate(_get_array(section, key, path)):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise _fail(
-                f"{path}.{key}[{i}]",
-                f"expected number, got {_type_name(value)}",
-            )
-        value = float(value)
-        if exclusive and value <= minimum:
-            raise _fail(
-                f"{path}.{key}[{i}]", f"must be > {minimum:g}, got {value:g}"
-            )
-        if not exclusive and value < minimum:
-            raise _fail(
-                f"{path}.{key}[{i}]", f"must be >= {minimum:g}, got {value:g}"
-            )
-        if maximum is not None and value > maximum:
-            raise _fail(
-                f"{path}.{key}[{i}]",
-                f"must be <= {maximum:g}, got {value:g}",
-            )
-        values.append(value)
-    _no_duplicates(values, f"{path}.{key}")
-    return tuple(values)
-
-
 def _policy_sets(
-    section: Mapping[str, Any], path: str, default: Tuple[str, ...]
+    raw_sets: Optional[Sequence[Any]], path: str, default: Tuple[str, ...]
 ) -> Tuple[Tuple[str, ...], ...]:
     """Parse the ``policies`` axis: a flat array is one comparison,
     an array of arrays is one comparison per entry."""
-    if "policies" not in section:
+    if raw_sets is None:
         return (default,)
-    raw_sets = _get_array(section, "policies", path)
-    nested = all(
-        isinstance(entry, Sequence) and not isinstance(entry, (str, bytes))
-        for entry in raw_sets
-    )
-    flat = all(isinstance(entry, str) for entry in raw_sets)
-    if not nested and not flat:
-        raise _fail(
-            f"{path}.policies",
+    if all(isinstance(entry, str) for entry in raw_sets):
+        return (check_value(raw_sets, POLICY_FIELD, path),)
+    if not all(isinstance(entry, (list, tuple)) for entry in raw_sets):
+        raise ScenarioFileError.at(
+            path,
             "expected an array of policy names or an array of policy-name "
             "arrays (not a mixture)",
         )
-    groups = [raw_sets] if flat else raw_sets
-    sets: List[Tuple[str, ...]] = []
-    for g, group in enumerate(groups):
-        prefix = f"{path}.policies" if flat else f"{path}.policies[{g}]"
-        if not group:
-            raise _fail(prefix, "policy set must not be empty")
-        keys: List[str] = []
-        for i, key in enumerate(group):
-            if not isinstance(key, str):
-                raise _fail(
-                    f"{prefix}[{i}]", f"expected str, got {_type_name(key)}"
-                )
-            if key not in POLICY_KEYS:
-                raise _fail(
-                    f"{prefix}[{i}]",
-                    f"unknown policy {key!r}"
-                    f"{did_you_mean(key, POLICY_KEYS)}; "
-                    f"known: {', '.join(POLICY_KEYS)}",
-                )
-            if key in keys:
-                raise _fail(f"{prefix}[{i}]", f"duplicate policy {key!r}")
-            keys.append(key)
-        sets.append(tuple(keys))
-    _no_duplicates([list(s) for s in sets], f"{path}.policies")
-    return tuple(sets)
-
-
-def _organization_axis_names(
-    section: Mapping[str, Any], path: str
-) -> Tuple[str, ...]:
-    if "organizations" not in section:
-        return ()
-    names = []
-    for i, name in enumerate(_get_array(section, "organizations", path)):
-        if not isinstance(name, str) or not name:
-            raise _fail(
-                f"{path}.organizations[{i}]",
-                f"expected a non-empty str, got {_type_name(name)}",
-            )
-        names.append(name)
-    _no_duplicates(names, f"{path}.organizations")
-    return tuple(names)
-
-
-def _require_arcc_capable(
-    configs: Sequence[MemoryConfig], path: str
-) -> None:
-    for config in configs:
-        if not arcc_capable(config):
-            raise _fail(
-                path,
-                f"organization {config.name!r} has a single channel and "
-                "cannot host upgraded (paired) pages; measured studies "
-                "and upgraded-fraction sweeps need >= 2 channels",
-            )
+    return check_value(raw_sets, replace(POLICY_FIELD, kind="[[str]]"), path)
 
 
 def study_from_mapping(
@@ -843,174 +691,45 @@ def study_from_mapping(
     """
     try:
         if not isinstance(raw, Mapping):
-            raise _fail(
-                "", f"top level must be a table/object, got {_type_name(raw)}"
+            raise ScenarioFileError(
+                f"top level must be a table/object, got {type(raw).__name__}"
             )
         present = [key for key in STUDY_SECTION_KEYS if key in raw]
         if not present:
-            raise _fail(
-                "",
+            raise ScenarioFileError(
                 "missing a [study] (or [sweep]) section; plain scenarios "
-                "run with `repro fleet --scenario-file`",
+                "run with `repro fleet --scenario-file`"
             )
         if len(present) > 1:
-            raise _fail(
+            raise ScenarioFileError.at(
                 present[1],
                 "declare either [study] or [sweep], not both "
                 "(they are aliases)",
             )
         section_key = present[0]
-        section = raw[section_key]
-        _check_keys(section, _STUDY_KEYS, section_key)
-        axis_names = _organization_axis_names(section, section_key)
+        values = parse_table(raw[section_key], STUDY_FIELDS, section_key)
+        axis_names = values["organizations"]
 
-        # Split the file's organization tables: population-referenced
-        # ones flow into the scenario (which enforces its own
-        # strictness), axis-only ones are parsed here, and orphans fail.
-        rest: Dict[str, Any] = {
-            key: value
-            for key, value in raw.items()
-            if key not in STUDY_SECTION_KEYS
-        }
-        axis_only: Dict[str, MemoryConfig] = {}
-        raw_orgs = rest.get("organizations")
-        if isinstance(raw_orgs, Mapping):
-            population_refs = set()
-            raw_pops = rest.get("populations")
-            if isinstance(raw_pops, Sequence) and not isinstance(
-                raw_pops, (str, bytes)
-            ):
-                for pop in raw_pops:
-                    if isinstance(pop, Mapping) and isinstance(
-                        pop.get("config"), str
-                    ):
-                        population_refs.add(pop["config"])
-            kept: Dict[str, Any] = {}
-            for name, table in raw_orgs.items():
-                if str(name) in population_refs:
-                    kept[name] = table
-                elif str(name) in axis_names:
-                    axis_only[str(name)] = organization_from_mapping(
-                        str(name), table
-                    )
-                else:
-                    raise _fail(
-                        f"organizations.{name}",
-                        "organization is not referenced by any population "
-                        f"or the [{section_key}].organizations axis "
-                        "(reference it or remove the table)",
-                    )
-            if kept:
-                rest["organizations"] = kept
-            else:
-                rest.pop("organizations", None)
-        spec = scenario_from_mapping(rest)
-
-        description = spec.scenario.description
-        if "description" in section:
-            value = section["description"]
-            if not isinstance(value, str):
-                raise _fail(
-                    f"{section_key}.description",
-                    f"expected str, got {_type_name(value)}",
-                )
-            description = value
-
-        measured = False
-        if "measured" in section:
-            measured = _get_bool(section, "measured", section_key)
-
-        engine = "auto"
-        if "engine" in section:
-            value = section["engine"]
-            if not isinstance(value, str):
-                raise _fail(
-                    f"{section_key}.engine",
-                    f"expected str, got {_type_name(value)}",
-                )
-            if value not in ENGINE_TIERS:
-                raise _fail(
-                    f"{section_key}.engine",
-                    f"unknown engine tier {value!r}"
-                    f"{did_you_mean(value, ENGINE_TIERS)}; "
-                    f"known: {', '.join(ENGINE_TIERS)}",
-                )
-            engine = value
-
-        mixes = None
-        if "mixes" in section:
-            mixes = _get_int(section, "mixes", section_key, minimum=1)
-            if mixes > len(ALL_MIXES):
-                raise _fail(
-                    f"{section_key}.mixes",
-                    f"only {len(ALL_MIXES)} workload mixes exist, "
-                    f"got {mixes}",
-                )
-
-        instruction_scales: Tuple[int, ...] = ()
-        if "instruction_scales" in section:
-            instruction_scales = _int_axis(
-                section, "instruction_scales", section_key, minimum=1
-            )
-
-        rate_multipliers: Tuple[float, ...] = (1.0,)
-        if "rate_multipliers" in section:
-            rate_multipliers = _float_axis(
-                section,
-                "rate_multipliers",
-                section_key,
-                minimum=0.0,
-                exclusive=True,
-            )
-
-        upgraded_fractions: Tuple[float, ...] = ()
-        if "upgraded_fractions" in section:
-            upgraded_fractions = _float_axis(
-                section,
-                "upgraded_fractions",
-                section_key,
-                minimum=0.0,
-                exclusive=False,
-                maximum=1.0,
-            )
-            if 0.0 not in upgraded_fractions:
-                raise _fail(
-                    f"{section_key}.upgraded_fractions",
-                    "needs the fault-free 0.0 point (ratios are "
-                    "normalized to it)",
-                )
-
-        default_set = (
-            tuple(spec.policies) if spec.policies else DEFAULT_POLICY_KEYS
-        )
-        policy_sets = _policy_sets(section, section_key, default_set)
-        for keys in policy_sets:
-            unknown = [key for key in keys if key not in POLICY_KEYS]
-            if unknown:  # default_set came from the top-level `policies`
-                raise _fail(
-                    f"policies[{list(keys).index(unknown[0])}]",
-                    f"unknown policy {unknown[0]!r}"
-                    f"{did_you_mean(unknown[0], POLICY_KEYS)}; "
-                    f"known: {', '.join(POLICY_KEYS)}",
-                )
-
-        known_configs: Dict[str, MemoryConfig] = dict(CONFIG_NAMES)
-        for config in spec.organizations:
-            known_configs[config.name] = config
-        known_configs.update(axis_only)
-        organizations: List[MemoryConfig] = []
+        rest = {key: value for key, value in raw.items() if key != section_key}
+        spec = scenario_from_mapping(rest, axis_organizations=axis_names)
+        known_configs = {**CONFIG_NAMES, **{c.name: c for c in spec.organizations}}
         for i, name in enumerate(axis_names):
             if name not in known_configs:
-                raise _fail(
+                raise ScenarioFileError.at(
                     f"{section_key}.organizations[{i}]",
-                    f"unknown memory config {name!r}"
-                    f"{did_you_mean(name, known_configs)}; "
-                    f"known: {', '.join(known_configs)}",
+                    unknown_key_message("memory config", name, known_configs),
                 )
-            organizations.append(known_configs[name])
 
-        if instruction_scales and not (measured or upgraded_fractions):
-            raise _fail(
+        fractions = values["upgraded_fractions"]
+        if fractions and 0.0 not in fractions:
+            raise ScenarioFileError.at(
+                f"{section_key}.upgraded_fractions",
+                "needs the fault-free 0.0 point (ratios are "
+                "normalized to it)",
+            )
+        measured = values["measured"]
+        if values["instruction_scales"] and not (measured or fractions):
+            raise ScenarioFileError.at(
                 f"{section_key}.instruction_scales",
                 "only affects trace measurements; set `measured = true` "
                 "or add `upgraded_fractions`",
@@ -1019,28 +738,35 @@ def study_from_mapping(
         study = Study(
             name=spec.scenario.name,
             scenario=spec.scenario,
-            description=description,
+            description=(
+                spec.scenario.description
+                if values["description"] is None
+                else values["description"]
+            ),
             measured=measured,
-            engine=engine,
-            mixes=mixes,
-            instruction_scales=instruction_scales,
-            rate_multipliers=rate_multipliers,
-            organizations=tuple(organizations),
-            policy_sets=policy_sets,
-            upgraded_fractions=upgraded_fractions,
+            engine=values["engine"],
+            mixes=values["mixes"],
+            instruction_scales=values["instruction_scales"],
+            rate_multipliers=values["rate_multipliers"],
+            organizations=tuple(known_configs[name] for name in axis_names),
+            policy_sets=_policy_sets(
+                values["policies"],
+                f"{section_key}.policies",
+                spec.policies or DEFAULT_POLICY_KEYS,
+            ),
+            upgraded_fractions=fractions,
             seed=spec.seed if spec.seed is not None else DEFAULT_FLEET_SEED,
             channels=spec.channels,
         )
-        if measured or upgraded_fractions:
-            axis_path = (
-                f"{section_key}.organizations"
-                if study.organizations
-                else "populations"
-            )
-            _require_arcc_capable(
-                study.organizations or study.base_scenario().organizations(),
-                axis_path,
-            )
+        if measured or fractions:
+            for config in study.organizations or study.base_scenario().organizations():
+                if not arcc_capable(config):
+                    raise ScenarioFileError.at(
+                        f"{section_key}.organizations" if study.organizations else "populations",
+                        f"organization {config.name!r} has a single channel and "
+                        "cannot host upgraded (paired) pages; measured studies "
+                        "and upgraded-fraction sweeps need >= 2 channels",
+                    )
     except ScenarioFileError as exc:
         if source:
             raise ScenarioFileError(f"{source}: {exc}") from None

@@ -193,3 +193,61 @@ class TestCliDocumentation:
 
         assert "fleet-compare" in FIGURES
         assert "fleet-compare" in cli.__doc__
+
+
+class TestSchemaTablesMatchFieldTables:
+    """Each key table of docs/scenario-files.md lists exactly the keys of
+    the field table that parses that section, with the same required
+    keys and, wherever the doc gives a literal default, the same default."""
+
+    #: (heading prefix in the doc, field-table name in scenario_file).
+    SECTIONS = (
+        ("## Top level", "SCENARIO_FIELDS"),
+        ("## `[[populations]]`", "POPULATION_FIELDS"),
+        ("### `[populations.spatial]`", "SPATIAL_FIELDS"),
+        ("### `[populations.rates]`", "RATE_FIELDS"),
+        ("## `[organizations.<name>]`", "ORGANIZATION_FIELDS"),
+        ("### `[[populations.schedule]]`", "PHASE_FIELDS"),
+        ("## Study files", "STUDY_FIELDS"),
+    )
+
+    @staticmethod
+    def _doc_table(heading):
+        """The first Markdown table under ``heading``: one dict per row."""
+        text = (REPO_ROOT / "docs" / "scenario-files.md").read_text(
+            encoding="utf-8"
+        )
+        lines = text.split("\n" + heading, 1)[1].splitlines()[1:]
+        table = []
+        for line in lines:
+            if line.startswith("#"):
+                break
+            if line.startswith("|"):
+                table.append([c.strip() for c in line.strip().strip("|").split("|")])
+            elif table:
+                break
+        header, _, *rows = table
+        return [dict(zip(header, row)) for row in rows]
+
+    @pytest.mark.parametrize("heading,table_name", SECTIONS)
+    def test_doc_table_matches_field_table(self, heading, table_name):
+        import json
+
+        from repro.fleet import scenario_file
+
+        fields = {f.key: f for f in getattr(scenario_file, table_name)}
+        rows = self._doc_table(heading)
+        documented = [row["Key"].strip("`") for row in rows]
+        assert sorted(documented) == sorted(fields), heading
+        for row in rows:
+            field = fields[row["Key"].strip("`")]
+            if "Required" in row:
+                assert (row["Required"] == "yes") == (
+                    field.default is scenario_file.REQUIRED
+                ), field.key
+            literal = re.fullmatch(r"`([^`]+)`", row.get("Default", ""))
+            if literal:
+                default = field.default
+                if isinstance(default, tuple):
+                    default = list(default)
+                assert json.loads(literal.group(1)) == default, field.key

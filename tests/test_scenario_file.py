@@ -8,6 +8,8 @@ on a tiny two-slice file.
 """
 
 import json
+import math
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,15 @@ from repro.fleet import (
     load_scenario_file,
     scenario_from_mapping,
     scenario_to_mapping,
+)
+from repro.fleet.scenario_file import (
+    ORGANIZATION_FIELDS,
+    PHASE_FIELDS,
+    POPULATION_FIELDS,
+    RATE_FIELDS,
+    SCENARIO_FIELDS,
+    SPATIAL_FIELDS,
+    STUDY_FIELDS,
 )
 
 TINY_TOML = """
@@ -675,3 +686,181 @@ class TestOrganizationProperties:
             ScenarioFileError, match=r"populations\[0\]\.config"
         ):
             scenario_from_mapping(raw)
+
+
+def _toml_value(value):
+    """One TOML value (inline tables and arrays; enough for these tests)."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float) and not math.isfinite(value):
+        return "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(_toml_value(v) for v in value) + "]"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{k} = {_toml_value(v)}" for k, v in value.items()) + "}"
+    return repr(value)
+
+
+def _write(tmp_path, mapping, fmt):
+    path = tmp_path / f"case.{fmt}"
+    if fmt == "json":
+        path.write_text(json.dumps(mapping))  # NaN / Infinity literals
+    else:
+        path.write_text(
+            "\n".join(f"{k} = {_toml_value(v)}" for k, v in mapping.items())
+        )
+    return path
+
+
+def _float_cases():
+    """(dotted path, section getter, key, is_axis) for every float field
+    and float axis of the scenario and study field tables."""
+    pop = "populations[0]"
+    sections = (
+        (POPULATION_FIELDS, pop, lambda m: m["populations"][0]),
+        (RATE_FIELDS, f"{pop}.rates", lambda m: m["populations"][0]["rates"]),
+        (
+            PHASE_FIELDS,
+            f"{pop}.schedule[0]",
+            lambda m: m["populations"][0]["schedule"][0],
+        ),
+        (
+            SPATIAL_FIELDS,
+            f"{pop}.spatial",
+            lambda m: m["populations"][0]["spatial"],
+        ),
+        (STUDY_FIELDS, "study", lambda m: m["study"]),
+    )
+    cases = []
+    for table, prefix, section in sections:
+        for field in table:
+            if field.kind == "float":
+                cases.append((f"{prefix}.{field.key}", section, field.key, False))
+            elif field.kind == "[float]":
+                cases.append((f"{prefix}.{field.key}[1]", section, field.key, True))
+    return cases
+
+
+class TestNonFiniteNumbers:
+    """nan/inf used to load and then crash in sampling (or in
+    Study.__post_init__); every float field now rejects them at load."""
+
+    @staticmethod
+    def _mapping(study):
+        mapping = {
+            "name": "nonfinite",
+            "populations": [
+                {
+                    "name": "slice",
+                    "channels": 8,
+                    "rates": {"bit": 18.6},
+                    "schedule": [{"duration_years": 0.5, "multiplier": 2.0}],
+                    "spatial": {"kind": "bank-wear", "fraction": 0.5},
+                }
+            ],
+        }
+        if study:
+            mapping["study"] = {
+                "rate_multipliers": [1.0, 2.0],
+                "upgraded_fractions": [0.0, 0.5],
+            }
+        return mapping
+
+    def test_cases_cover_every_float_field(self):
+        paths = [path for path, *_ in _float_cases()]
+        assert len(paths) == 13
+        for table in (SCENARIO_FIELDS, ORGANIZATION_FIELDS):
+            assert not [f.key for f in table if "float" in f.kind]
+
+    @pytest.mark.parametrize("fmt", ["toml", "json"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "path,section,key,is_axis",
+        _float_cases(),
+        ids=[case[0] for case in _float_cases()],
+    )
+    def test_rejected_at_load_and_by_cli(
+        self, tmp_path, capsys, fmt, bad, path, section, key, is_axis
+    ):
+        from repro.cli import main
+        from repro.fleet import load_study_file
+
+        study = path.startswith("study.")
+        mapping = self._mapping(study)
+        table = section(mapping)
+        if is_axis:
+            table[key][1] = bad
+        else:
+            table[key] = bad
+        file = _write(tmp_path, mapping, fmt)
+        message = f"{file}: {path}: must be finite, got {bad}"
+        loader = load_study_file if study else load_scenario_file
+        with pytest.raises(ScenarioFileError) as excinfo:
+            loader(file)
+        assert str(excinfo.value) == message
+        argv = ["study", str(file)] if study else [
+            "fleet", "--scenario-file", str(file)
+        ]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert str(excinfo.value) == f"repro {argv[0]}: {message}"
+        assert "Traceback" not in capsys.readouterr().err
+
+
+class TestTopLevelPolicies:
+    """Top-level `policies` used to pass the loader and fail later in
+    `repro fleet` without a file or key path."""
+
+    def test_unknown_policy_names_file_and_index(self, tmp_path):
+        raw = _mapping()
+        raw["policies"] = ["arc"]
+        file = _write(tmp_path, raw, "json")
+        with pytest.raises(ScenarioFileError) as excinfo:
+            load_scenario_file(file)
+        assert str(excinfo.value) == (
+            f"{file}: policies[0]: unknown policy 'arc' (did you mean "
+            "'arcc'?); known: arcc, sccdcd, lotecc"
+        )
+
+    def test_duplicate_policy_names_index(self, tmp_path):
+        raw = _mapping()
+        raw["policies"] = ["arcc", "arcc"]
+        file = _write(tmp_path, raw, "toml")
+        with pytest.raises(
+            ScenarioFileError,
+            match=r"case\.toml: policies\[1\]: duplicate policy 'arcc'",
+        ):
+            load_scenario_file(file)
+
+
+EXAMPLES = sorted(
+    path
+    for pattern in ("*.toml", "*.json")
+    for path in (
+        Path(__file__).resolve().parent.parent / "examples" / "scenarios"
+    ).glob(pattern)
+)
+
+
+@pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.name)
+def test_shipped_example_loads_and_round_trips(path, tmp_path):
+    """Every shipped example is valid for its loader; plain scenarios
+    survive load -> dump_scenario_json -> load exactly."""
+    from repro.fleet import load_study_file
+    from repro.fleet.scenario_file import STUDY_SECTION_KEYS, load_raw_mapping
+
+    if any(key in load_raw_mapping(path) for key in STUDY_SECTION_KEYS):
+        assert load_study_file(path).points()
+        return
+    first = load_scenario_file(path)
+    dumped = tmp_path / "dumped.json"
+    dump_scenario_json(
+        first.scenario,
+        dumped,
+        seed=first.seed,
+        channels=first.channels,
+        policies=first.policies,
+    )
+    assert load_scenario_file(dumped) == first
