@@ -7,6 +7,11 @@ struct-of-arrays :mod:`repro.fleet` engine must beat the original
 population — the PR's acceptance bar; in practice the margin is two
 orders of magnitude larger. Both timings land in the CI benchmark job's
 ``BENCH_pr.json`` artifact.
+
+The policy comparison carries an absolute bar instead of a ratio: every
+built-in scenario at 10^6 channels, scored under all three policies on
+one core, must finish within :data:`COMPARE_BAR_S` (its trajectory is
+the ``absolute`` list of ``BENCH_history.json``).
 """
 
 import time
@@ -19,7 +24,13 @@ from repro.faults.lifetime import (
     faulty_page_fraction_timeseries,
     faulty_page_fraction_timeseries_legacy,
 )
-from repro.fleet import run_fleet
+from repro.fleet import (
+    DEFAULT_SCENARIOS,
+    POLICY_KEYS,
+    plan_fleet_compare,
+    run_fleet,
+)
+from repro.runner import execute_plans
 
 pytestmark = pytest.mark.mc
 
@@ -29,6 +40,10 @@ CHANNELS = 100_000
 #: flat, so its 10^5-channel wall-time extrapolates linearly.
 LEGACY_CHANNELS = 10_000
 YEARS = 7
+#: ``repro fleet --policies arcc,sccdcd,lotecc --channels 1000000``.
+COMPARE_CHANNELS = 1_000_000
+#: Wall-time bar of that comparison at ``--jobs 1``, in seconds.
+COMPARE_BAR_S = 8.0
 
 
 def test_bench_fleet_vectorized(benchmark):
@@ -100,3 +115,31 @@ def test_fleet_speedup_at_least_20x(once):
     # Same physics on independent streams: year-7 means agree within a
     # few relative percent at these populations.
     assert vectorized_series[-1] == pytest.approx(legacy_series[-1], rel=0.10)
+
+
+def test_policy_comparison_1m_within_bar(once):
+    """Five scenarios x three policies at 10^6 channels each, one core.
+
+    Mirrors ``repro fleet --policies arcc,sccdcd,lotecc --channels
+    1000000 --jobs 1``: one job per (slice, block) samples the block
+    once and scores every policy from it.
+    """
+    plans = [
+        plan_fleet_compare(name, policies=POLICY_KEYS, channels=COMPARE_CHANNELS)
+        for name in DEFAULT_SCENARIOS
+    ]
+
+    def measure():
+        started = time.perf_counter()
+        reports = execute_plans(plans, max_workers=1)
+        return time.perf_counter() - started, reports
+
+    wall, reports = once(measure)
+    emit(
+        "Policy comparison wall-time (every built-in scenario, 3 policies)",
+        f"{len(plans)} scenarios x {COMPARE_CHANNELS} channels, "
+        f"{sum(len(plan.jobs) for plan in plans)} jobs, --jobs 1:\n"
+        f"  wall  {wall:6.2f} s  (bar: {COMPARE_BAR_S:.0f} s)",
+    )
+    assert [report.policies for report in reports] == [list(POLICY_KEYS)] * len(plans)
+    assert wall <= COMPARE_BAR_S

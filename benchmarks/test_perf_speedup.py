@@ -274,3 +274,6 @@ def test_bench_history_is_wellformed():
     assert "kernel_trace_suite_speedup" in names
     for entry in history["entries"]:
         assert entry["measured_x"] >= entry["bar_x"], entry
+    for entry in history["absolute"]:
+        assert entry["wall_s"] <= entry["bar_s"], entry
+        assert entry["wall_s"] < entry["parent_wall_s"], entry

@@ -24,7 +24,7 @@ batched draw over its own time window.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -291,45 +291,67 @@ def faulty_fractions_by_year(
 def overhead_series_by_year(
     batch: FaultEventBatch,
     years: int,
-    per_fault: Dict[FaultType, float],
-    cap: float,
+    weight_sets: Sequence[Mapping[FaultType, float]],
+    caps: Sequence[float],
     steps_per_year: int = 12,
 ) -> np.ndarray:
     """Per-channel cumulative-average overhead at the end of each year.
 
-    Returns a ``(years, channels)`` matrix whose row ``y-1`` is each
-    channel's overhead averaged over the first ``y`` years, sampled at
-    ``steps_per_year`` mid-step points per year — the vectorized form of
-    the legacy ``_overhead_series`` accumulation (Section 7.1 step 3 is
-    additive per arrived fault, capped at fully-upgraded behaviour).
+    Scores every ``(weight_sets[s], caps[s])`` pair over the same
+    arrivals and returns a ``(sets, years, channels)`` array whose
+    ``[s, y-1]`` row is each channel's overhead under set ``s`` averaged
+    over the first ``y`` years, sampled at ``steps_per_year`` mid-step
+    points per year — the vectorized form of the legacy
+    ``_overhead_series`` accumulation (Section 7.1 step 3 is additive per
+    arrived fault, capped at fully-upgraded behaviour). Each element
+    sees the same float operations in the same order whatever the other
+    sets and channels are, so stacking never changes a row.
     """
-    channels = batch.num_channels
-    out = np.zeros((years, channels))
-    weights = np.array(
-        [per_fault.get(ft, 0.0) for ft in FAULT_TYPE_ORDER]
-    )[batch.type_code]
-    ids = batch.channel_ids()
-    order = np.argsort(batch.time_hours, kind="stable")
-    sorted_times = batch.time_hours[order]
-    sorted_ids = ids[order]
-    sorted_weights = weights[order]
+    if len(weight_sets) != len(caps):
+        raise ValueError("need one cap per weight set")
+    sets = len(weight_sets)
+    # Only channels with arrivals need their own column: every other
+    # channel shares the last one, which no arrival ever touches.
+    has_arrivals = np.diff(batch.offsets) > 0
+    width = int(has_arrivals.sum()) + 1
+    column = np.where(has_arrivals, np.cumsum(has_arrivals) - 1, width - 1)
+    local = column[batch.channel_ids()]
 
-    current = np.zeros(channels)
-    accumulated = np.zeros(channels)
+    weights = np.array(
+        [
+            [per_fault.get(ft, 0.0) for ft in FAULT_TYPE_ORDER]
+            for per_fault in weight_sets
+        ]
+    ).reshape(sets, len(FAULT_TYPE_ORDER))[:, batch.type_code]
+    order = np.argsort(batch.time_hours, kind="stable")
+    step_hours = (
+        (np.arange(years * steps_per_year) + 0.5)
+        / steps_per_year
+        * HOURS_PER_YEAR
+    )
+    arrivals = np.searchsorted(
+        batch.time_hours[order], step_hours, side="right"
+    )
+    # Flat (set, column) index of every arrival into ``current``.
+    targets = np.arange(sets)[:, None] * width + local[order]
+    sorted_weights = weights[:, order]
+    cap_column = np.asarray(caps, dtype=float)[:, None]
+
+    out = np.zeros((sets, years, batch.num_channels))
+    current = np.zeros((sets, width))
+    accumulated = np.zeros((sets, width))
+    capped = np.empty((sets, width))
     cursor = 0
-    step = 0
-    for year in range(1, years + 1):
-        for _ in range(steps_per_year):
-            t_hours = (step + 0.5) / steps_per_year * HOURS_PER_YEAR
-            arrived = np.searchsorted(sorted_times, t_hours, side="right")
-            if arrived > cursor:
-                np.add.at(
-                    current,
-                    sorted_ids[cursor:arrived],
-                    sorted_weights[cursor:arrived],
-                )
-                cursor = arrived
-            accumulated += np.minimum(current, cap)
-            step += 1
-        out[year - 1] = accumulated / step
+    for step, arrived in enumerate(arrivals.tolist(), 1):
+        if arrived > cursor:
+            np.add.at(
+                current.reshape(-1),
+                targets[:, cursor:arrived].ravel(),
+                sorted_weights[:, cursor:arrived].ravel(),
+            )
+            cursor = arrived
+        np.minimum(current, cap_column, out=capped)
+        accumulated += capped
+        if step % steps_per_year == 0:
+            out[:, step // steps_per_year - 1] = (accumulated / step)[:, column]
     return out

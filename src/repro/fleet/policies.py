@@ -20,13 +20,14 @@ the same sampled :class:`~repro.fleet.events.FaultEventBatch` per slice:
   exposure window from the repair interval to one scrub pass (the 17x
   of [4]).
 
-Every (policy, slice, block) is one :class:`~repro.runner.Job`; blocks
-reuse the exact seeds of :func:`~repro.fleet.report.plan_fleet`, so all
-policies judge the *same* fault arrivals — a paired comparison, and
-bit-identical at any worker count. Monte-Carlo means (overheads,
-uncorrectable-channel fraction) carry 95% confidence intervals;
-SDC/DUE columns come from the closed-form Chapter 6 models evaluated
-per slice.
+There is one :class:`~repro.runner.Job` per (slice, block) scoring
+every policy; the screen runs once per distinct window. Blocks reuse
+the exact seeds of :func:`~repro.fleet.report.plan_fleet` and each is
+sampled once, so all policies judge the *same* fault arrivals — a
+paired comparison, and bit-identical at any worker count. Monte-Carlo
+means (overheads, uncorrectable-channel fraction) carry 95% confidence
+intervals; SDC/DUE columns come from the closed-form Chapter 6 models
+evaluated per slice.
 
 By default the per-fault weights are the worst-case constants above
 (kept as the documented fallback and oracle bound); pass measured
@@ -393,7 +394,10 @@ def uncorrectable_candidate_channels(
     overlapping ``(bank, row, column)`` regions — with the second
     arriving within ``window_hours`` of the first.
 
-    Footprint geometry is the shared vectorized predicate
+    Every within-member pair of eligible events is built at once by the
+    segmented :func:`repro.reliability.montecarlo.segments_with_pair`,
+    the builder the Monte-Carlo block screen shares. Footprint geometry
+    is the shared vectorized predicate
     :func:`repro.reliability.montecarlo.footprint_pairs_intersect` (the
     array form of ``_PlacedFault.footprint_intersects``), evaluated on
     the batch's own coordinates, so this screen is an *exact* count —
@@ -404,22 +408,17 @@ def uncorrectable_candidate_channels(
     zero, which reproduces the historical rank-level (upper-bound)
     behaviour.
     """
-    from repro.reliability.montecarlo import footprint_pairs_intersect
-
-    out = np.zeros(batch.num_channels, dtype=bool)
-    if batch.num_events < 2:
-        return out
-    eligible = batch.type_code != _BIT_CODE
-    counts = np.bincount(
-        batch.channel_ids()[eligible], minlength=batch.num_channels
+    from repro.reliability.montecarlo import (
+        footprint_pairs_intersect,
+        segments_with_pair,
     )
+
+    eligible = np.flatnonzero(batch.type_code != _BIT_CODE)
     mc_code = _DEVICE_LEVEL_CODE[batch.type_code]
-    for member in np.flatnonzero(counts >= 2):
-        start, stop = int(batch.offsets[member]), int(batch.offsets[member + 1])
-        idx = np.arange(start, stop)[eligible[start:stop]]
-        left, right = np.triu_indices(len(idx), k=1)
-        a, b = idx[left], idx[right]
+
+    def uncorrectable(left: np.ndarray, right: np.ndarray) -> np.ndarray:
         # Events are time-sorted within a member, so b is the later fault.
+        a, b = eligible[left], eligible[right]
         in_window = batch.time_hours[b] - batch.time_hours[a] <= window_hours
         same_channel = batch.channel[a] == batch.channel[b]
         intersects = footprint_pairs_intersect(
@@ -432,7 +431,10 @@ def uncorrectable_candidate_channels(
             a,
             b,
         )
-        out[member] = bool(np.any(same_channel & intersects & in_window))
+        return same_channel & intersects & in_window
+
+    out = np.zeros(batch.num_channels, dtype=bool)
+    out[segments_with_pair(batch.channel_ids()[eligible], uncorrectable)] = True
     return out
 
 
@@ -440,7 +442,7 @@ def uncorrectable_candidate_channels(
 
 
 def _policy_block_job(
-    policy: ProtectionPolicy,
+    policies: Tuple[ProtectionPolicy, ...],
     block_seed: int,
     channels: int,
     sample_years: float,
@@ -451,12 +453,16 @@ def _policy_block_job(
     phases: Tuple[Tuple[float, float, float], ...],
     scrub_interval_hours: float,
     spatial: Optional[Dict[str, Any]] = None,
-) -> Dict[str, Any]:
-    """Picklable worker: one (policy, slice, block) cost evaluation.
+) -> List[Dict[str, Any]]:
+    """Picklable worker: one job per (slice, block) scoring every policy;
+    the screen runs once per distinct window.
 
-    Samples the block with the *same* seed every policy uses for this
-    (slice, block), so the comparison is paired — differences between
-    policies are pure policy, never sampling noise.
+    Samples the block once, so every policy judges the same fault
+    arrivals — differences between policies are pure policy, never
+    sampling noise. All power and performance weight sets share one
+    stacked year reduction, and the pair screen runs once per distinct
+    correction window (``arcc`` and ``sccdcd`` share ``repair``).
+    Returns one moments dict per policy, in ``policies`` order.
     """
     batch = sample_block(
         block_seed,
@@ -468,25 +474,32 @@ def _policy_block_job(
         phases=phases,
         spatial=spatial,
     )
-    power = overhead_series_by_year(
-        batch, report_years, policy.per_fault_power, cap=policy.power_cap
-    )[-1]
-    perf = overhead_series_by_year(
-        batch,
-        report_years,
-        policy.per_fault_performance,
-        cap=policy.performance_cap,
-    )[-1]
-    window = policy.window_hours("correction_window", scrub_interval_hours)
-    uncorrectable = uncorrectable_candidate_channels(batch, window)
-    return {
-        "channels": channels,
-        "power_sum": float(power.sum()),
-        "power_sumsq": float(np.square(power).sum()),
-        "perf_sum": float(perf.sum()),
-        "perf_sumsq": float(np.square(perf).sum()),
-        "uncorrectable_sum": float(uncorrectable.sum()),
-    }
+    weight_sets: List[Mapping[FaultType, float]] = []
+    caps: List[float] = []
+    for policy in policies:
+        weight_sets += [policy.per_fault_power, policy.per_fault_performance]
+        caps += [policy.power_cap, policy.performance_cap]
+    final_year = overhead_series_by_year(
+        batch, report_years, weight_sets, caps
+    )[:, -1]
+    screens: Dict[float, np.ndarray] = {}
+    results = []
+    for index, policy in enumerate(policies):
+        power, perf = final_year[2 * index], final_year[2 * index + 1]
+        window = policy.window_hours("correction_window", scrub_interval_hours)
+        if window not in screens:
+            screens[window] = uncorrectable_candidate_channels(batch, window)
+        results.append(
+            {
+                "channels": channels,
+                "power_sum": float(power.sum()),
+                "power_sumsq": float(np.square(power).sum()),
+                "perf_sum": float(perf.sum()),
+                "perf_sumsq": float(np.square(perf).sum()),
+                "uncorrectable_sum": float(screens[window].sum()),
+            }
+        )
+    return results
 
 
 # -- reports ------------------------------------------------------------------
@@ -700,17 +713,21 @@ def plan_fleet_compare(
     overheads: Optional[Dict[FaultType, Tuple[float, float]]] = None,
     profiles: Optional[ProfileMap] = None,
 ) -> ExperimentPlan:
-    """A policy comparison as runner jobs: one per (policy, slice, block).
+    """A policy comparison as runner jobs: one job per (slice, block)
+    scoring every policy; the screen runs once per distinct window.
 
     Block seeds derive exactly as in
     :func:`~repro.fleet.report.plan_fleet` — from ``seed`` and the slice
-    position, never from the policy — so every policy scores identical
-    fault histories and results are independent of worker count.
+    position, never from the policy — and each job samples its block
+    once for all policies, so every policy scores identical fault
+    histories and results are independent of worker count. Each job's
+    ``policies`` tuple lists the requested policies in order; its value
+    is one moments dict per policy, which ``assemble`` indexes.
 
     ``profiles`` (keyed ``(policy key, organization name)``, from
     :func:`~repro.fleet.measured.run_measured_profiles`) swaps the
     worst-case per-fault constants for measured weights: each slice's
-    jobs carry the policy variant measured against *its own* memory
+    jobs carry the policy variants measured against *its own* memory
     organization. Every (policy, slice's organization) pair must be
     present.
     """
@@ -738,39 +755,37 @@ def plan_fleet_compare(
             effective[(policy.key, pop.name)] = variant
 
     jobs: List[Job] = []
-    spans: Dict[Tuple[str, str], Tuple[int, int]] = {}
-    for policy in built:
-        for pop, pop_seed in zip(scenario.populations, pop_seeds):
-            start = len(jobs)
-            for index, (block_seed, size) in enumerate(
-                fleet_blocks(pop_seed, pop.channels)
-            ):
-                jobs.append(
-                    Job.create(
-                        f"fleet-compare[{scenario.name}/{pop.name}/"
-                        f"{policy.key}][{index}]",
-                        _policy_block_job,
-                        policy=effective[(policy.key, pop.name)],
-                        block_seed=block_seed,
-                        channels=size,
-                        sample_years=pop.lifespan_years,
-                        report_years=pop.report_years,
-                        rate_multiplier=pop.rate_multiplier,
-                        config=pop.config,
-                        rates=pop.rates,
-                        phases=tuple(pop.phases()),
-                        scrub_interval_hours=scrub_hours,
-                        spatial=(
-                            pop.spatial.to_config() if pop.spatial else None
-                        ),
-                    )
+    spans: Dict[str, Tuple[int, int]] = {}
+    for pop, pop_seed in zip(scenario.populations, pop_seeds):
+        start = len(jobs)
+        for index, (block_seed, size) in enumerate(
+            fleet_blocks(pop_seed, pop.channels)
+        ):
+            jobs.append(
+                Job.create(
+                    f"fleet-compare[{scenario.name}/{pop.name}][{index}]",
+                    _policy_block_job,
+                    policies=tuple(
+                        effective[(policy.key, pop.name)] for policy in built
+                    ),
+                    block_seed=block_seed,
+                    channels=size,
+                    sample_years=pop.lifespan_years,
+                    report_years=pop.report_years,
+                    rate_multiplier=pop.rate_multiplier,
+                    config=pop.config,
+                    rates=pop.rates,
+                    phases=tuple(pop.phases()),
+                    scrub_interval_hours=scrub_hours,
+                    spatial=(pop.spatial.to_config() if pop.spatial else None),
                 )
-            spans[(policy.key, pop.name)] = (start, len(jobs))
+            )
+        spans[pop.name] = (start, len(jobs))
 
-    def assemble(values: List[Dict[str, Any]]) -> PolicyComparisonReport:
+    def assemble(values: List[List[Dict[str, Any]]]) -> PolicyComparisonReport:
         slice_reports: List[PolicySliceReport] = []
         summaries: List[PolicyFleetSummary] = []
-        for policy in built:
+        for position, policy in enumerate(built):
             fleet_power = _Moments()
             fleet_perf = _Moments()
             fleet_unc_sum = 0.0
@@ -783,11 +798,11 @@ def plan_fleet_compare(
                 variant = effective[(policy.key, pop.name)]
                 static_power[pop.name] = variant.static_power_overhead
                 static_perf[pop.name] = variant.static_performance_overhead
-                start, stop = spans[(policy.key, pop.name)]
+                start, stop = spans[pop.name]
                 power = _Moments()
                 perf = _Moments()
                 unc_sum = 0.0
-                for block in values[start:stop]:
+                for block in (v[position] for v in values[start:stop]):
                     n = block["channels"]
                     power.add(n, block["power_sum"], block["power_sumsq"])
                     perf.add(n, block["perf_sum"], block["perf_sumsq"])

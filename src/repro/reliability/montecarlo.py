@@ -27,7 +27,7 @@ The paper performs the same cross-check against the analytical models of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -262,6 +262,72 @@ def footprint_pairs_intersect(
     return rank_ok & distinct & region
 
 
+#: Pairs built at once by :func:`segments_with_pair`: bounds memory
+#: when faults crowd a few segments (very high rate multipliers).
+PAIR_CHUNK = 1 << 16
+
+
+def segment_pairs(segment: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Every within-segment pair of positions, earlier position first.
+
+    ``segment`` gives the segment id of each position and must be
+    non-decreasing (positions of one segment are contiguous). Returns
+    ``(left, right)`` position arrays with ``left < right`` and
+    ``segment[left] == segment[right]``, covering every such pair once —
+    every segment's upper-triangle pairs, built for all segments with
+    one ``np.repeat``.
+
+    >>> left, right = segment_pairs(np.array([0, 0, 0, 2, 5, 5]))
+    >>> left.tolist(), right.tolist()
+    ([0, 0, 1, 4], [1, 2, 2, 5])
+    """
+    positions = np.arange(len(segment))
+    # Partners after each position: up to the end of its segment.
+    later = np.searchsorted(segment, segment, side="right") - positions - 1
+    left = np.repeat(positions, later)
+    first = np.cumsum(later) - later
+    right = left + 1 + np.arange(len(left)) - np.repeat(first, later)
+    return left, right
+
+
+def segments_with_pair(
+    segment: np.ndarray,
+    hit: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """Ascending ids of the segments holding a pair that ``hit`` accepts.
+
+    ``segment`` is as for :func:`segment_pairs`; ``hit(left, right)``
+    gets pair position arrays and returns a boolean per pair. Pairs are
+    built one run of whole segments at a time, each run holding fewer
+    than :data:`PAIR_CHUNK` pairs plus those of its last segment, so
+    memory stays bounded however many faults a block collects. Shared
+    by this module's block screen and the fleet uncorrectable-pair
+    screen (:func:`repro.fleet.policies.uncorrectable_candidate_channels`).
+    """
+    starts = _run_starts(segment)
+    sizes = np.diff(np.append(starts, len(segment)))
+    pairs = sizes * (sizes - 1) // 2
+    first = starts[_run_starts((np.cumsum(pairs) - pairs) // PAIR_CHUNK)]
+    bounds = np.append(first, len(segment)).tolist()
+    found = [np.zeros(0, dtype=np.int64)]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        left, right = segment_pairs(segment[lo:hi])
+        hits = segment[lo + left[hit(lo + left, lo + right)]]
+        found.append(hits[_run_starts(hits)])
+    return np.concatenate(found)
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Positions where a non-decreasing array takes a new value.
+
+    Used in place of ``np.unique``, which imports ``numpy.ma`` on first
+    use — memory every process running the fleet comparison would pay.
+    """
+    starts = np.ones(len(values), dtype=bool)
+    starts[1:] = values[1:] != values[:-1]
+    return np.flatnonzero(starts)
+
+
 def _pairs_intersect(
     batch: _FaultBatch, left: np.ndarray, right: np.ndarray
 ) -> np.ndarray:
@@ -281,18 +347,6 @@ def _pairs_intersect(
 def _next_scrub_array(time_hours: np.ndarray, interval: float) -> np.ndarray:
     """Vectorized next-scrub boundary after each time."""
     return (np.floor(time_hours / interval) + 1.0) * interval
-
-
-def _channel_has_candidate_pair(batch: _FaultBatch, channel: int) -> bool:
-    """Vectorized screen: does any fault pair of the channel intersect?
-
-    No policy can fail a channel whose faults are pairwise disjoint, so a
-    ``False`` here skips the exact event loop entirely.
-    """
-    start, stop = int(batch.offsets[channel]), int(batch.offsets[channel + 1])
-    idx = np.arange(start, stop)
-    left, right = np.triu_indices(len(idx), k=1)
-    return bool(np.any(_pairs_intersect(batch, idx[left], idx[right])))
 
 
 # -- per-channel reference policies (exact event loops) -----------------------
@@ -436,9 +490,9 @@ class MonteCarloReliability:
         channels at field rates) are decided entirely in array form; the
         policies reduce to two questions about the pair — does it
         intersect, and did the second fault beat the first one's scrub?
-        Channels with three or more faults are screened with an
-        array-based all-pairs intersection test and only candidate
-        collisions pay for the exact per-pair event loop.
+        Channels with three or more faults are screened together by one
+        segmented all-pairs intersection test per block, and only
+        candidate collisions pay for the exact per-pair event loop.
         ``exact_pairs=True`` sends two-fault channels down the event loop
         as well; the result must be bit-identical (this is the
         equivalence check the tests run).
@@ -470,9 +524,17 @@ class MonteCarloReliability:
                     batch.channel_faults(int(channel)), outcome
                 )
 
-        for channel in np.flatnonzero(per_channel >= 3):
-            if not _channel_has_candidate_pair(batch, int(channel)):
-                continue
+        owner = np.repeat(np.arange(channels), per_channel)
+        events = np.flatnonzero(per_channel[owner] >= 3)
+        candidates = segments_with_pair(
+            owner[events],
+            lambda left, right: _pairs_intersect(
+                batch, events[left], events[right]
+            ),
+        )
+        # No policy can fail a channel whose faults are pairwise
+        # disjoint, so only candidates pay for the exact event loop.
+        for channel in candidates:
             self._decide_channel(batch.channel_faults(int(channel)), outcome)
         return outcome
 

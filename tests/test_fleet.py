@@ -261,7 +261,7 @@ class TestVectorizedReductions:
             FaultType.COLUMN: 0.01,
         }
         for cap in (1.0, 0.5, 0.05):
-            vec = overhead_series_by_year(batch, 7, per_fault, cap=cap)
+            vec = overhead_series_by_year(batch, 7, [per_fault], [cap])[0]
             legacy = _overhead_series(histories, 7, per_fault, cap=cap)
             assert np.allclose(vec.mean(axis=1), legacy, rtol=1e-9)
 

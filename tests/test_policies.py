@@ -18,8 +18,10 @@ from repro.fleet import (
     SubPopulation,
     plan_fleet_compare,
     resolve_policies,
+    resolve_scenario,
     run_fleet_compare,
 )
+from repro.fleet.engine import fleet_blocks
 from repro.fleet.events import FAULT_TYPE_ORDER, FaultEventBatch
 from repro.fleet.policies import (
     policy_due_per_1k,
@@ -27,6 +29,7 @@ from repro.fleet.policies import (
     slice_reliability_params,
     uncorrectable_candidate_channels,
 )
+from repro.util.rng import derive_seeds
 
 
 def _batch(rows):
@@ -321,23 +324,24 @@ class TestComparisonReport:
 
 
 class TestPairedSampling:
-    def test_policies_share_block_seeds(self):
-        """Every policy's jobs for a slice carry identical block seeds."""
-        plan = plan_fleet_compare(
-            "mixed-generations", policies=POLICY_KEYS, channels=1500
-        )
-        seeds = {}
-        for job in plan.jobs:
-            config = dict(job.config)
-            slice_block = (
-                job.name.split("/")[1],
-                config["block_seed"],
-                config["channels"],
-            )
-            seeds.setdefault(slice_block[0], set()).add(slice_block[1:])
-        counts = {name: len(blocks) for name, blocks in seeds.items()}
-        # One distinct (seed, size) set per slice, shared by all policies.
-        assert len(plan.jobs) == len(POLICY_KEYS) * sum(counts.values())
+    @pytest.mark.parametrize("policies", [POLICY_KEYS, ("lotecc", "arcc")])
+    def test_one_job_per_slice_block_scores_every_policy(self, policies):
+        """One job per ``fleet_blocks`` entry of each slice, in slice
+        order; each carries every requested policy, in order, and the
+        block seeds of the slice's population seed."""
+        scenario = resolve_scenario("mixed-generations").scaled_to(12_000)
+        plan = plan_fleet_compare(scenario, policies=policies, seed=5)
+        pop_seeds = derive_seeds(5, len(scenario.populations))
+        expected = [
+            block
+            for pop, pop_seed in zip(scenario.populations, pop_seeds)
+            for block in fleet_blocks(pop_seed, pop.channels)
+        ]
+        assert len(expected) > len(scenario.populations)  # multi-block
+        configs = [dict(job.config) for job in plan.jobs]
+        assert [(c["block_seed"], c["channels"]) for c in configs] == expected
+        for config in configs:
+            assert tuple(p.key for p in config["policies"]) == policies
 
     def test_custom_scenario_object(self):
         scenario = FleetScenario(
