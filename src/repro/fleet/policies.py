@@ -758,6 +758,11 @@ def plan_fleet_compare(
     spans: Dict[str, Tuple[int, int]] = {}
     for pop, pop_seed in zip(scenario.populations, pop_seeds):
         start = len(jobs)
+        # Built once per slice, so its blocks share (and the batch keys
+        # describe once) the same policy, phase and spatial objects.
+        slice_policies = tuple(effective[(policy.key, pop.name)] for policy in built)
+        phases = tuple(pop.phases())
+        spatial = pop.spatial.to_config() if pop.spatial else None
         for index, (block_seed, size) in enumerate(
             fleet_blocks(pop_seed, pop.channels)
         ):
@@ -765,9 +770,7 @@ def plan_fleet_compare(
                 Job.create(
                     f"fleet-compare[{scenario.name}/{pop.name}][{index}]",
                     _policy_block_job,
-                    policies=tuple(
-                        effective[(policy.key, pop.name)] for policy in built
-                    ),
+                    policies=slice_policies,
                     block_seed=block_seed,
                     channels=size,
                     sample_years=pop.lifespan_years,
@@ -775,9 +778,9 @@ def plan_fleet_compare(
                     rate_multiplier=pop.rate_multiplier,
                     config=pop.config,
                     rates=pop.rates,
-                    phases=tuple(pop.phases()),
+                    phases=phases,
                     scrub_interval_hours=scrub_hours,
-                    spatial=(pop.spatial.to_config() if pop.spatial else None),
+                    spatial=spatial,
                 )
             )
         spans[pop.name] = (start, len(jobs))

@@ -82,7 +82,7 @@ from repro.runner import (
     JobResult,
     ResultCache,
     code_version,
-    job_identity,
+    job_identities,
     run_jobs,
 )
 from repro.util.suggest import unknown_key_message
@@ -387,7 +387,7 @@ def expand_study(study: Study) -> ExperimentPlan:
     """Compile the whole grid into one deduplicated experiment plan.
 
     Jobs are deduplicated across grid points by computation identity
-    (:func:`~repro.runner.job_identity`): a measurement point shared by
+    (:func:`~repro.runner.job_identities`): a measurement point shared by
     several axis values — e.g. two rate multipliers at one instruction
     scale, or the sweep's zero point and the measured baseline — enters
     the batch once, and every point's assembly reads the shared value.
@@ -398,12 +398,12 @@ def expand_study(study: Study) -> ExperimentPlan:
     compiled: List[
         Tuple[StudyPoint, Callable[[List[Any]], Any], Tuple[int, ...]]
     ] = []
-    for point in study.points():
-        sub = _point_plan(study, point)
+    subs = [(point, _point_plan(study, point)) for point in study.points()]
+    identities = iter(job_identities([job for _, sub in subs for job in sub.jobs]))
+    for point, sub in subs:
         indices = []
         for job in sub.jobs:
-            identity = job_identity(job)
-            slot = slot_by_identity.setdefault(identity, len(jobs))
+            slot = slot_by_identity.setdefault(next(identities), len(jobs))
             if slot == len(jobs):
                 jobs.append(job)
             indices.append(slot)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Tuple
 
 from repro.faults.types import (
     DEFAULT_FIT_RATES,
@@ -101,6 +101,40 @@ def _peers(a: FaultType, params: ReliabilityParams) -> int:
     return params.devices_per_rank - 1
 
 
+def _race_tables(
+    params: ReliabilityParams,
+) -> Tuple[List[float], List[int], List[List[float]]]:
+    """Per-type arrival rates, peer counts and the pairwise overlap table.
+
+    Computed once per race sum, not once per term, and indexed in
+    :data:`DEVICE_LEVEL_TYPES` order rather than keyed by fault type
+    (hashing an enum member runs Python code).
+    """
+    rates = [params.device_rate_per_hour(t) for t in DEVICE_LEVEL_TYPES]
+    peers = [_peers(t, params) for t in DEVICE_LEVEL_TYPES]
+    overlaps = [
+        [overlap_probability(a, b, params) for b in DEVICE_LEVEL_TYPES]
+        for a in DEVICE_LEVEL_TYPES
+    ]
+    return rates, peers, overlaps
+
+
+def _pair_race_rate(params: ReliabilityParams, window_hours: float) -> float:
+    """Rate (per channel-hour) of a second fault overlapping a first
+    within ``window_hours`` of it."""
+    rates, peers, overlaps = _race_tables(params)
+    rate = 0.0
+    for rate_a, peers_a, overlaps_a in zip(rates, peers, overlaps):
+        lam_a = rate_a * params.total_devices
+        if lam_a == 0.0:
+            continue
+        for lam_b, overlap in zip(rates, overlaps_a):
+            if lam_b == 0.0:
+                continue
+            rate += lam_a * peers_a * lam_b * window_hours * overlap
+    return rate
+
+
 def sdc_rate_arcc_ded(params: ReliabilityParams) -> float:
     """SDC rate (per channel, per hour) of SCCDCD+ARCC.
 
@@ -108,24 +142,7 @@ def sdc_rate_arcc_ded(params: ReliabilityParams) -> float:
     interval as the first (mean exposure: half an interval, since the
     first fault lands uniformly within its scrub period).
     """
-    window = params.scrub_interval_hours / 2.0
-    rate = 0.0
-    for a in DEVICE_LEVEL_TYPES:
-        lam_a = params.device_rate_per_hour(a) * params.total_devices
-        if lam_a == 0.0:
-            continue
-        for b in DEVICE_LEVEL_TYPES:
-            lam_b = params.device_rate_per_hour(b)
-            if lam_b == 0.0:
-                continue
-            rate += (
-                lam_a
-                * _peers(a, params)
-                * lam_b
-                * window
-                * overlap_probability(a, b, params)
-            )
-    return rate
+    return _pair_race_rate(params, params.scrub_interval_hours / 2.0)
 
 
 def expected_sdc_arcc(params: ReliabilityParams, lifespan_years: float) -> float:
@@ -154,32 +171,24 @@ def expected_sdc_sccdcd(
     case.
     """
     hours = lifespan_years * HOURS_PER_YEAR
+    exposure = hours * hours / 2.0
     window = params.scrub_interval_hours / 2.0
+    rates, peers, overlaps = _race_tables(params)
     expected = 0.0
-    for a in DEVICE_LEVEL_TYPES:
-        lam_a = params.device_rate_per_hour(a) * params.total_devices
+    for rate_a, peers_a, overlaps_a in zip(rates, peers, overlaps):
+        lam_a = rate_a * params.total_devices
         if lam_a == 0.0:
             continue
-        peers = _peers(a, params)
-        for b in DEVICE_LEVEL_TYPES:
-            lam_b = params.device_rate_per_hour(b)
+        for lam_b, overlap_ab in zip(rates, overlaps_a):
             if lam_b == 0.0:
                 continue
-            for c in DEVICE_LEVEL_TYPES:
-                lam_c = params.device_rate_per_hour(c)
+            # The left-to-right product up to the third fault's factors,
+            # hoisted out of the c loop without reordering an operand.
+            pair = lam_a * exposure * peers_a * lam_b * overlap_ab * max(peers_a - 1, 1)
+            for lam_c, overlap_ac in zip(rates, overlaps_a):
                 if lam_c == 0.0:
                     continue
-                expected += (
-                    lam_a
-                    * (hours * hours / 2.0)
-                    * peers
-                    * lam_b
-                    * overlap_probability(a, b, params)
-                    * max(peers - 1, 1)
-                    * lam_c
-                    * window
-                    * overlap_probability(a, c, params)
-                )
+                expected += pair * lam_c * window * overlap_ac
     return expected
 
 

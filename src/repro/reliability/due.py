@@ -18,38 +18,12 @@
 from __future__ import annotations
 
 from repro.faults.types import DEVICE_LEVEL_TYPES
-from repro.reliability.analytical import (
-    ReliabilityParams,
-    _peers,
-    overlap_probability,
-)
+from repro.reliability.analytical import ReliabilityParams, _pair_race_rate
 
 #: Default service interval for replacing a DIMM after its first corrected
 #: device failure (hours). Field practice is scheduled maintenance on the
 #: order of a month.
 DEFAULT_REPAIR_HOURS = 720.0
-
-
-def _pair_race_rate(params: ReliabilityParams, window_hours: float) -> float:
-    """Rate (per channel-hour) of a second fault overlapping a first
-    within ``window_hours`` of it."""
-    rate = 0.0
-    for a in DEVICE_LEVEL_TYPES:
-        lam_a = params.device_rate_per_hour(a) * params.total_devices
-        if lam_a == 0.0:
-            continue
-        for b in DEVICE_LEVEL_TYPES:
-            lam_b = params.device_rate_per_hour(b)
-            if lam_b == 0.0:
-                continue
-            rate += (
-                lam_a
-                * _peers(a, params)
-                * lam_b
-                * window_hours
-                * overlap_probability(a, b, params)
-            )
-    return rate
 
 
 def due_rate_sccdcd(

@@ -12,13 +12,15 @@ import this package).
 """
 
 from repro.runner.cache import DEFAULT_CACHE_DIR, ResultCache, code_version
-from repro.runner.executor import (
-    execute_plan,
-    execute_plans,
+from repro.runner.executor import execute_plan, execute_plans, run_jobs
+from repro.runner.job import (
+    ExperimentPlan,
+    Job,
+    JobResult,
+    describe_value,
+    job_identities,
     job_identity,
-    run_jobs,
 )
-from repro.runner.job import ExperimentPlan, Job, JobResult, describe_value
 
 __all__ = [
     "DEFAULT_CACHE_DIR",
@@ -30,6 +32,7 @@ __all__ = [
     "describe_value",
     "execute_plan",
     "execute_plans",
+    "job_identities",
     "job_identity",
     "run_jobs",
 ]

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Any, Optional, Tuple
 
 from repro.config import RUNNER_CONFIG
-from repro.runner.job import Job
+from repro.runner.job import Job, job_identity
 
 #: Default cache location, relative to the working directory.
 DEFAULT_CACHE_DIR = RUNNER_CONFIG.cache_dir
@@ -85,13 +85,9 @@ class ResultCache:
         Figure 7.1's fault-free ARCC run, the Figure 7.2/7.3 baseline
         and the sensitivity sweep's zero point are one cache entry).
         """
-        description = job.describe()
-        description.pop("name", None)
-        payload = json.dumps(
-            {"code": self.version, "job": description},
-            sort_keys=True,
-            default=repr,
-        )
+        # Exactly ``json.dumps({"code": ..., "job": ...}, sort_keys=True)``
+        # with the job's identity (computed once per batch) spliced in.
+        payload = f'{{"code": {json.dumps(self.version)}, "job": {job_identity(job)}}}'
         return hashlib.sha256(payload.encode()).hexdigest()[:32]
 
     def _path(self, job: Job) -> Path:

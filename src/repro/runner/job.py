@@ -12,8 +12,33 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import hashlib
+import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    ClassVar,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+)
+
+import numpy as np
+
+#: A batch's description memo: ``(id(value), nested)`` -> ``(value,
+#: description)``. Keyed by identity, never equality (``0.0 == -0.0``,
+#: ``1 == 1.0 == True``); holding ``value`` keeps its ``id`` from being
+#: reused while the memo lives. Valid only while the values it has seen
+#: stay unmutated: one per batch, never one per process.
+Memo = Dict[Tuple[int, bool], Tuple[Any, Any]]
+
+#: Types that describe as themselves (exact match; subclasses such as
+#: enums and NumPy's ``float64`` take the checks below).
+_SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
 def describe_value(value: Any) -> Any:
@@ -21,27 +46,61 @@ def describe_value(value: Any) -> Any:
 
     Used to build cache keys, so it must be stable across processes and
     interpreter runs: enums collapse to their names, dataclasses to a
-    sorted field mapping, callables to ``module:qualname``. Anything else
-    falls back to ``repr`` — adequate for the numeric scalars that make
-    up experiment configs.
+    sorted field mapping, callables to ``module:qualname``, NumPy arrays
+    to dtype, shape and a SHA-256 of their bytes, NumPy integer and bool
+    scalars to Python ones. Anything else raises ``TypeError`` — a
+    ``repr`` fallback could let distinct values share a key (NumPy
+    elides the middle of large arrays) or embed a memory address.
     """
+    return _describe(value, False, {})
+
+
+def _describe(value: Any, nested: bool, memo: Memo) -> Any:
+    # ``nested``: inside a dataclass, where (as ``dataclasses.asdict``
+    # has it) a dataclass is a plain field mapping without its type name.
+    if type(value) in _SCALARS:
+        return value
+    key = (id(value), nested)
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = (value, _describe_new(value, nested, memo))
+    return hit[1]
+
+
+def _describe_new(value: Any, nested: bool, memo: Memo) -> Any:
     if isinstance(value, enum.Enum):
         return f"{type(value).__name__}.{value.name}"
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        fields = dataclasses.asdict(value)
-        return {
-            "__dataclass__": type(value).__name__,
-            **{k: describe_value(v) for k, v in sorted(fields.items())},
+        fields = {
+            f.name: _describe(getattr(value, f.name), True, memo)
+            for f in dataclasses.fields(value)
         }
-    if isinstance(value, Mapping):
-        return {str(describe_value(k)): describe_value(v) for k, v in value.items()}
+        if nested:
+            return fields
+        return {"__dataclass__": type(value).__name__, **dict(sorted(fields.items()))}
+    if isinstance(value, dict) or isinstance(value, Mapping):
+        return {
+            str(_describe(k, nested, memo)): _describe(v, nested, memo)
+            for k, v in value.items()
+        }
     if isinstance(value, (list, tuple)):
-        return [describe_value(v) for v in value]
-    if isinstance(value, (str, int, float, bool)) or value is None:
+        return [_describe(v, nested, memo) for v in value]
+    if isinstance(value, (str, int, float)):
         return value
-    if callable(value):
-        return f"{getattr(value, '__module__', '?')}:{getattr(value, '__qualname__', repr(value))}"
-    return repr(value)
+    if isinstance(value, np.ndarray) and not value.dtype.hasobject:
+        return {
+            "__ndarray__": str(value.dtype),
+            "shape": list(value.shape),
+            "sha256": hashlib.sha256(np.ascontiguousarray(value).tobytes()).hexdigest(),
+        }
+    if isinstance(value, (np.integer, np.bool_)):
+        return value.item()
+    if callable(value) and hasattr(value, "__qualname__"):
+        return f"{getattr(value, '__module__', '?')}:{value.__qualname__}"
+    raise TypeError(
+        f"cannot canonicalize a {type(value).__module__}.{type(value).__qualname__}"
+        " value for a cache key"
+    )
 
 
 @dataclass(frozen=True)
@@ -71,6 +130,9 @@ class Job:
     fn: Callable[..., Any]
     config: Tuple[Tuple[str, Any], ...] = ()
     seed: Optional[int] = None
+    #: :func:`job_identities`' result, kept on the instance (never
+    #: pickled: a job sent to a worker carries its four fields only).
+    _batch_identity: ClassVar[Optional[str]] = None
 
     @classmethod
     def create(
@@ -101,13 +163,74 @@ class Job:
         return self.fn(**self.kwargs)
 
     def describe(self) -> Dict[str, Any]:
-        """Stable description used for cache keying and logging."""
+        """Stable description for logging; without ``name``, its JSON is
+        the job's identity (:func:`job_identities`)."""
+        memo: Memo = {}
         return {
             "name": self.name,
-            "fn": describe_value(self.fn),
-            "seed": self.seed,
-            "config": {k: describe_value(v) for k, v in self.config},
+            "fn": _describe(self.fn, False, memo),
+            "seed": _describe(self.seed, False, memo),
+            "config": {k: _describe(v, False, memo) for k, v in self.config},
         }
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        return (type(self), (self.name, self.fn, self.config, self.seed))
+
+
+#: A batch's JSON memo: ``id(value)`` -> ``(value, JSON of its description)``.
+Texts = Dict[int, Tuple[Any, str]]
+
+
+def _json_text(value: Any, memo: Memo, texts: Texts) -> str:
+    hit = texts.get(id(value))
+    if hit is None:
+        text = json.dumps(_describe(value, False, memo), sort_keys=True)
+        hit = texts[id(value)] = (value, text)
+    return hit[1]
+
+
+def _identity_text(job: Job, memo: Memo, texts: Texts) -> str:
+    """``json.dumps`` (``sort_keys=True``) of ``job.describe()`` without
+    its ``name``, spliced from the JSON of each top-level value, which
+    is encoded once per batch."""
+    config = ", ".join(
+        f"{_json_text(k, memo, texts)}: {_json_text(v, memo, texts)}"
+        for k, v in sorted(dict(job.config).items())
+    )
+    fn = _json_text(job.fn, memo, texts)
+    seed = _json_text(job.seed, memo, texts)
+    return f'{{"config": {{{config}}}, "fn": {fn}, "seed": {seed}}}'
+
+
+def job_identities(jobs: Iterable[Job]) -> List[str]:
+    """Canonical identity of each job's *computation* (name excluded).
+
+    Two jobs with the same callable, configuration and seed compute the
+    same value no matter what their display names are, so the executor
+    runs one and shares the result — e.g. when ``repro run`` flattens
+    Figure 7.1, Figures 7.2/7.3 and the sensitivity sweep into one
+    batch, each (mix, organization, fraction) simulation runs once.
+
+    The batch shares one description memo, so a config object used by
+    many jobs is described and encoded once, and each identity is kept
+    on its job: cache lookups, deduplication and cache writes reuse it.
+    Configs must therefore not be mutated once their jobs are planned.
+    """
+    memo: Memo = {}
+    texts: Texts = {}
+    identities = []
+    for job in jobs:
+        identity = job._batch_identity
+        if identity is None:
+            identity = _identity_text(job, memo, texts)
+            object.__setattr__(job, "_batch_identity", identity)
+        identities.append(identity)
+    return identities
+
+
+def job_identity(job: Job) -> str:
+    """One job's identity (see :func:`job_identities`)."""
+    return job_identities((job,))[0]
 
 
 @dataclass

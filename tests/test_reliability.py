@@ -1,10 +1,13 @@
 """Tests for the Chapter 6 reliability models (analytical + Monte Carlo)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.faults.types import FaultType
+from repro.faults.types import DEVICE_LEVEL_TYPES, FaultRates, FaultType
 from repro.reliability.analytical import (
     ReliabilityParams,
+    _peers,
     expected_sdc_arcc,
     expected_sdc_sccdcd,
     overlap_probability,
@@ -20,6 +23,7 @@ from repro.reliability.montecarlo import (
     MonteCarloReliability,
     _PlacedFault,
 )
+from repro.util.units import HOURS_PER_YEAR
 
 
 class TestOverlapProbability:
@@ -132,6 +136,99 @@ class TestDueRates:
         week = due_reduction_factor(params, repair_hours=168.0)
         month = due_reduction_factor(params, repair_hours=720.0)
         assert month == pytest.approx(week * 720.0 / 168.0, rel=1e-6)
+
+
+def legacy_pair_race(params, window_hours):
+    """The pair race as it was, re-deriving every rate and overlap per term."""
+    rate = 0.0
+    for a in DEVICE_LEVEL_TYPES:
+        lam_a = params.device_rate_per_hour(a) * params.total_devices
+        if lam_a == 0.0:
+            continue
+        for b in DEVICE_LEVEL_TYPES:
+            lam_b = params.device_rate_per_hour(b)
+            if lam_b == 0.0:
+                continue
+            rate += (
+                lam_a
+                * _peers(a, params)
+                * lam_b
+                * window_hours
+                * overlap_probability(a, b, params)
+            )
+    return rate
+
+
+def legacy_expected_sdc_sccdcd(params, lifespan_years):
+    """The three-fault race as it was (one ten-factor product per term)."""
+    hours = lifespan_years * HOURS_PER_YEAR
+    window = params.scrub_interval_hours / 2.0
+    expected = 0.0
+    for a in DEVICE_LEVEL_TYPES:
+        lam_a = params.device_rate_per_hour(a) * params.total_devices
+        if lam_a == 0.0:
+            continue
+        peers = _peers(a, params)
+        for b in DEVICE_LEVEL_TYPES:
+            lam_b = params.device_rate_per_hour(b)
+            if lam_b == 0.0:
+                continue
+            for c in DEVICE_LEVEL_TYPES:
+                lam_c = params.device_rate_per_hour(c)
+                if lam_c == 0.0:
+                    continue
+                expected += (
+                    lam_a
+                    * (hours * hours / 2.0)
+                    * peers
+                    * lam_b
+                    * overlap_probability(a, b, params)
+                    * max(peers - 1, 1)
+                    * lam_c
+                    * window
+                    * overlap_probability(a, c, params)
+                )
+    return expected
+
+
+fits = st.one_of(st.just(0.0), st.floats(1e-3, 1e4))
+race_params = st.builds(
+    ReliabilityParams,
+    devices_per_rank=st.integers(1, 40),
+    ranks=st.integers(1, 4),
+    banks=st.integers(1, 16),
+    rows=st.integers(1, 1 << 17),
+    columns=st.integers(1, 1 << 12),
+    scrub_interval_hours=st.floats(0.01, 48.0),
+    rate_multiplier=st.one_of(st.just(1.0), st.floats(0.01, 16.0)),
+    rates=st.builds(FaultRates, fits, fits, fits, fits, fits, fits),
+)
+
+
+class TestRaceLoopsMatchLegacy:
+    """The hoisted race sums are bit-identical (``==``) to the old loops."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(race_params, st.floats(0.1, 20.0))
+    def test_sccdcd_triple_race(self, params, years):
+        assert expected_sdc_sccdcd(params, years) == legacy_expected_sdc_sccdcd(
+            params, years
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(race_params, st.floats(1.0, 5000.0))
+    def test_pair_races(self, params, repair_hours):
+        scrub = legacy_pair_race(params, params.scrub_interval_hours / 2.0)
+        assert sdc_rate_arcc_ded(params) == scrub
+        assert due_rate_sparing(params) == scrub
+        assert due_rate_sccdcd(params, repair_hours) == legacy_pair_race(
+            params, repair_hours / 2.0
+        )
+
+    def test_all_zero_rates(self):
+        params = ReliabilityParams(rates=FaultRates(0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+        assert expected_sdc_sccdcd(params, 7.0) == 0.0
+        assert sdc_rate_arcc_ded(params) == 0.0
 
 
 class TestFootprintIntersection:

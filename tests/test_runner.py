@@ -1,5 +1,12 @@
 """Tests for the parallel experiment runner (jobs, cache, executor)."""
 
+import functools
+import pickle
+from collections.abc import Mapping
+from dataclasses import dataclass
+from typing import Any
+
+import numpy as np
 import pytest
 
 from repro.config import ARCC_MEMORY_CONFIG
@@ -11,8 +18,10 @@ from repro.runner import (
     describe_value,
     execute_plan,
     execute_plans,
+    job_identities,
     run_jobs,
 )
+from repro.runner import job as job_module
 
 
 def _square(x, seed=0):
@@ -34,6 +43,36 @@ def _boom(x, seed=0):
 def _seed_from_kwargs(**kwargs):
     """Callable that only takes **kwargs (no named ``seed`` parameter)."""
     return kwargs.get("seed")
+
+
+def _take(x, config=None, seed=0):
+    return x
+
+
+class _CountingMapping(Mapping):
+    """A mapping that counts how often it is walked."""
+
+    def __init__(self, data):
+        self.data = data
+        self.walks = 0
+
+    def __getitem__(self, key):
+        return self.data[key]
+
+    def __iter__(self):
+        return iter(self.data)
+
+    def __len__(self):
+        return len(self.data)
+
+    def items(self):
+        self.walks += 1
+        return self.data.items()
+
+
+@dataclass(frozen=True)
+class _SharedConfig:
+    table: Any
 
 
 class TestJob:
@@ -75,6 +114,35 @@ class TestDescribeValue:
 
     def test_callable(self):
         assert "test_runner" in describe_value(_square)
+
+    def test_arrays_keyed_by_content(self):
+        """NumPy's repr elides the middle of large arrays; the key must not."""
+        a = np.zeros(5000)
+        b = a.copy()
+        b[2500] = 1.0
+        assert repr(a) == repr(b)
+        cache = ResultCache("unused", version="v")
+        keys = [cache.key(Job.create("j", _take, x=v)) for v in (a, b, a.copy())]
+        assert keys[0] != keys[1]
+        assert keys[0] == keys[2]
+        assert describe_value(a)["shape"] == [5000]
+        assert describe_value(a.astype(np.float32)) != describe_value(a)
+
+    def test_numpy_scalars_become_python_scalars(self):
+        assert describe_value(np.int64(3)) == 3
+        assert type(describe_value(np.int64(3))) is int
+        assert describe_value(np.bool_(True)) is True
+
+    @pytest.mark.parametrize(
+        "value",
+        [object(), {1, 2}, functools.partial(_square, 1), np.array([object()])],
+        ids=["object", "set", "partial", "object-array"],
+    )
+    def test_unknown_values_raise(self, value):
+        with pytest.raises(TypeError, match=type(value).__qualname__):
+            describe_value(value)
+        with pytest.raises(TypeError):
+            run_jobs([Job.create("j", _take, x=1, config=value)])
 
 
 class TestRunJobs:
@@ -124,6 +192,54 @@ class TestRunJobs:
         jobs = MonteCarloReliability(seed=1).block_jobs(10, 1.0)
         results = run_jobs(jobs, base_seed=5)
         assert results[0].value.channels == 10
+
+
+class TestDescribeOncePerBatch:
+    """Each job is canonicalized once per batch, however the batch runs."""
+
+    @staticmethod
+    def _count_job_descriptions(monkeypatch):
+        described = []
+        original = job_module._identity_text
+
+        def counting(job, memo, texts):
+            described.append(job.name)
+            return original(job, memo, texts)
+
+        monkeypatch.setattr(job_module, "_identity_text", counting)
+        return described
+
+    def test_cold_and_warm_runs_describe_each_job_once(self, tmp_path, monkeypatch):
+        described = self._count_job_descriptions(monkeypatch)
+        cache = ResultCache(tmp_path / "cache")
+        names = [f"j{i}" for i in range(6)]
+
+        def plan():  # j3..j5 repeat j0..j2's computations
+            return [Job.create(name, _square, x=i % 3) for i, name in enumerate(names)]
+
+        cold = run_jobs(plan(), cache=cache)
+        assert sorted(described) == names
+        assert sum(not r.cached for r in cold) == 3
+        described.clear()
+        warm = run_jobs(plan(), cache=cache)
+        assert sorted(described) == names
+        assert all(r.cached for r in warm)
+
+    def test_shared_config_described_once_per_batch(self, tmp_path):
+        shared = _SharedConfig(_CountingMapping({"a": 1.0, "b": (2, 3)}))
+        cache = ResultCache(tmp_path / "cache")
+        for batch in (1, 2):
+            jobs = [Job.create(f"j{i}", _take, x=i, config=shared) for i in range(5)]
+            run_jobs(jobs, cache=cache)
+            assert shared.table.walks == batch
+
+    def test_identity_stays_behind_when_pickled(self):
+        job = Job.create("j", _square, x=3)
+        (identity,) = job_identities([job])
+        clone = pickle.loads(pickle.dumps(job))
+        assert vars(clone) == {"name": "j", "fn": _square, "config": (("x", 3),), "seed": None}
+        assert clone == job
+        assert job_identities([clone]) == [identity]
 
 
 class TestResultCache:
